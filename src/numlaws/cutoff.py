@@ -103,8 +103,13 @@ def estimate_cutoff_gamma(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        deviation = gamma_deviation(n, lower, upper, alpha, rate)
-        upper_next = gamma_update(lower, deviation, n, alpha)
+        try:
+            deviation = gamma_deviation(n, lower, upper, alpha, rate)
+            upper_next = gamma_update(lower, deviation, n, alpha)
+        except OverflowError as exc:
+            raise CutoffNumericError(
+                f"Gamma cutoff iteration overflowed: {exc}", trace=trace
+            ) from exc
         if not math.isfinite(upper_next) or not math.isfinite(deviation):
             raise CutoffNumericError(
                 "Gamma cutoff iteration produced a non-finite value", trace=trace

@@ -10,11 +10,12 @@ underscore, ``predict(support)`` evaluates the fitted curve.
   the slope is the negated exponent, the intercept the log scale.
   Zero-frequency support points are excluded from the regression but
   retained for scoring.
-- GammaFitter minimizes squared error in linear frequency space with a
-  derivative-free simplex search over (log rate, shape) from a fixed
-  grid of starts; the amplitude is profiled out exactly by a linear
-  solve at every step, and the rate can be pinned to zero for the pure
-  power-law comparison variant.
+- GammaFitter minimizes squared error in linear frequency space by
+  variable projection: the amplitude is profiled out exactly by a linear
+  solve, and one Levenberg-Marquardt run refines (log rate, shape) from
+  a closed-form least-squares start in log space.  The rate can be
+  pinned to zero for the pure power-law comparison variant; the full fit
+  runs that nested fit too and keeps whichever fits better.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .base import BaseEstimator, check_is_fitted
 from .corpus import (
@@ -37,12 +38,14 @@ from .laws import BenfordModel, GammaModel, ZipfModel
 from .metrics import FitVerdict, MetricScores, classify_fit, score_fit
 from .validation import support_frequencies
 
-# rate values below the optimizer's resolution floor are reported as exact 0
+# a fitted rate below the optimizer's resolution floor is the nested
+# rate-zero model, and that fit is reported instead
 _RATE_FLOOR = 1e-12
-
-_RATE_STARTS = (1e-6, 0.05, 0.5, 2.0)
-_SHAPE_STARTS = (0.5, 2.0)
-_SHAPE_STARTS_RATE_ZERO = (-1.0, 0.5, 1.0, 2.0)
+# exp(700) is near the float64 limit; at that rate every support point but
+# the first has weight 0, so a larger log-rate changes no residual
+_LOG_RATE_MAX = 700.0
+# rate start when the closed-form slope shows no decay
+_RATE_START = 1e-3
 
 
 @dataclass(frozen=True)
@@ -156,47 +159,86 @@ class ZipfFitter(BaseEstimator):
         )
 
 
-def _gamma_objective(theta, support, observed, log_support, rate_zero):
-    """Profiled squared error: best amplitude solved exactly per (rate, shape).
+def _gamma_profile(theta, support, observed, log_support):
+    """Residual of the best amplitude for one (rate, shape), solved exactly.
 
-    Returns (sse, scaled_amplitude, log_scale) where the true amplitude is
-    scaled_amplitude * exp(-log_scale); the shift keeps exp() in range for
-    extreme shapes.
+    ``theta`` is ``(shape,)`` for the rate-zero fit and ``(log rate,
+    shape)`` otherwise.  Returns (residual, scaled_amplitude, log_scale)
+    where the true amplitude is scaled_amplitude * exp(-log_scale); the
+    shift keeps exp() in range for extreme shapes.
     """
-    if rate_zero:
-        rate, shape = 0.0, theta[0]
-    else:
-        rate, shape = math.exp(theta[0]), theta[1]
-    log_g = -rate * support + (shape - 1.0) * log_support
+    rate = math.exp(min(theta[0], _LOG_RATE_MAX)) if len(theta) == 2 else 0.0
+    log_g = -rate * support + (theta[-1] - 1.0) * log_support
     shift = log_g.max()
     g = np.exp(log_g - shift)
     denom = float(g @ g)
     if denom == 0.0 or not math.isfinite(denom):
-        return math.inf, 0.0, 0.0
+        # amplitude 0: the worst profiled fit, but a finite residual
+        return observed, 0.0, 0.0
     amplitude = float(observed @ g) / denom
-    resid = observed - amplitude * g
-    return float(resid @ resid), amplitude, shift
+    return observed - amplitude * g, amplitude, shift
+
+
+def _gamma_start(support, observed, log_support, rate_zero):
+    """Closed-form start: least squares of log f on (1, log x, -x).
+
+    Runs over the positive bins, each row weighted by its frequency so
+    that its error approximates the residual in linear frequency space.
+    The coefficients are (log amplitude, shape - 1, rate); the rate-zero
+    start drops the ``-x`` column.  A slope that shows no decay starts
+    the rate at ``_RATE_START``.
+    """
+    positive = observed > 0
+    f = observed[positive]
+    design = np.column_stack([np.ones_like(f), log_support[positive], -support[positive]])
+    columns = 2 if rate_zero else 3
+    coef = np.linalg.lstsq(f[:, None] * design[:, :columns], f * np.log(f), rcond=None)[0]
+    shape = float(coef[1]) + 1.0
+    if rate_zero:
+        return np.array([shape])
+    rate = float(coef[2]) if coef[2] > 0 else _RATE_START
+    return np.array([math.log(rate), shape])
 
 
 class GammaFitter(BaseEstimator):
     """Three-parameter discrete Gamma fit (or two with the rate pinned to 0).
 
-    Derivative-free Nelder-Mead descent from a fixed grid of deterministic
-    starts; the search runs over (log rate, shape) with the amplitude
-    profiled out, so identical inputs always give bit-identical results.
-    Rates below 1e-12 are reported as exactly 0.
+    Variable projection: the amplitude is profiled out exactly, and one
+    Levenberg-Marquardt run refines (log rate, shape) from a closed-form
+    least-squares start in log space.  The full fit also runs the nested
+    rate-zero fit and returns whichever has the lower squared error,
+    preferring rate zero on a tie or when the fitted rate is below 1e-12.
+    ``max_iter`` bounds the function evaluations of each run, ``xatol``
+    is its step tolerance and ``fatol`` its relative-reduction and
+    gradient tolerance.  The path is deterministic, so identical inputs
+    give bit-identical results.
     """
 
-    def __init__(self, rate_zero=False, max_iter=10000, xatol=1e-10, fatol=1e-20):
+    def __init__(self, rate_zero=False, max_iter=1000, xatol=1e-10, fatol=1e-12):
         self.rate_zero = rate_zero
         self.max_iter = max_iter
         self.xatol = xatol
         self.fatol = fatol
 
-    def _starts(self):
-        if self.rate_zero:
-            return [[s] for s in _SHAPE_STARTS_RATE_ZERO]
-        return [[math.log(r), s] for r in _RATE_STARTS for s in _SHAPE_STARTS]
+    def _refine(self, support, observed, log_support, rate_zero):
+        result = least_squares(
+            lambda theta: _gamma_profile(theta, support, observed, log_support)[0],
+            _gamma_start(support, observed, log_support, rate_zero),
+            method="lm",
+            # a fixed trust region: scaling by the Jacobian lets one step
+            # at a tiny rate move the log-rate by hundreds
+            x_scale=1.0,
+            xtol=self.xatol,
+            ftol=self.fatol,
+            gtol=self.fatol,
+            max_nfev=self.max_iter,
+        )
+        if result.status == 0:
+            raise FitFailureError(
+                f"Gamma optimizer did not converge in {self.max_iter} evaluations",
+                best_params=tuple(result.x),
+            )
+        return result
 
     def fit(self, X, y=None):
         support, observed = support_frequencies(X)
@@ -207,87 +249,41 @@ class GammaFitter(BaseEstimator):
                 "Gamma fit needs at least 3 positive-frequency support points"
             )
         log_support = np.log(support)
-
-        def objective(theta):
-            return _gamma_objective(
-                theta, support, observed, log_support, self.rate_zero
-            )[0]
-
-        def descend(start, xatol, fatol):
-            trace: list[float] = []
-            result = minimize(
-                objective,
-                np.asarray(start, dtype=float),
-                method="Nelder-Mead",
-                callback=lambda xk: trace.append(objective(xk)),
-                options={
-                    "xatol": xatol,
-                    "fatol": fatol,
-                    "maxiter": self.max_iter,
-                    "maxfev": 2 * self.max_iter,
-                },
-            )
-            return result, tuple(trace)
-
-        # coarse exploration from every start, then one refinement pass at
-        # the full tolerance from the best point (a fresh simplex escapes
-        # the slow terminal shrink phase of a single long run)
-        best = None
-        traces: list[tuple[float, ...]] = []
-        total_iter = 0
-        any_converged = False
-        for start in self._starts():
-            result, trace = descend(start, max(self.xatol, 1e-8), max(self.fatol, 1e-16))
-            total_iter += int(result.nit)
-            traces.append(trace)
-            any_converged = any_converged or bool(result.success)
-            if best is None or result.fun < best.fun:
-                best = result
-        if best is not None and math.isfinite(best.fun):
-            result, trace = descend(best.x, self.xatol, self.fatol)
-            total_iter += int(result.nit)
-            traces.append(trace)
-            any_converged = any_converged or bool(result.success)
-            if result.fun <= best.fun:
-                best = result
-        if best is None or not math.isfinite(best.fun):
-            raise FitFailureError(
-                "Gamma optimizer found no finite objective",
-                best_params=None if best is None else tuple(best.x),
-            )
-        if not any_converged:
-            raise FitFailureError(
-                f"Gamma optimizer did not converge in {self.max_iter} iterations "
-                "from any start",
-                best_params=tuple(best.x),
-            )
-
-        sse, scaled_amplitude, shift = _gamma_objective(
-            best.x, support, observed, log_support, self.rate_zero
+        best = self._refine(support, observed, log_support, rate_zero=True)
+        rate, evaluations = 0.0, best.nfev
+        if not self.rate_zero:
+            full = self._refine(support, observed, log_support, rate_zero=False)
+            evaluations += full.nfev
+            full_rate = math.exp(min(full.x[0], _LOG_RATE_MAX))
+            # below the floor the full fit is the nested one up to round-off
+            if full_rate >= _RATE_FLOOR and full.cost < best.cost:
+                best, rate = full, full_rate
+        _, scaled_amplitude, shift = _gamma_profile(
+            best.x, support, observed, log_support
         )
-        if self.rate_zero:
-            rate, shape = 0.0, float(best.x[0])
-        else:
-            rate, shape = math.exp(best.x[0]), float(best.x[1])
-        if rate < _RATE_FLOOR:
-            rate = 0.0
-        amplitude = scaled_amplitude * math.exp(-shift)
-        if not (math.isfinite(amplitude) and amplitude > 0):
+        shape = float(best.x[-1])
+        with np.errstate(over="ignore"):
+            amplitude = float(scaled_amplitude * np.exp(-shift))
+            if not (math.isfinite(amplitude) and amplitude > 0):
+                raise FitFailureError(
+                    "Gamma fit produced a non-finite or non-positive amplitude",
+                    best_params=(scaled_amplitude, rate, shape),
+                )
+            model = GammaModel(amplitude=amplitude, rate=rate, shape=shape)
+            curve = model.weights(support)
+        if not np.all(np.isfinite(curve)):
             raise FitFailureError(
-                "Gamma fit produced a non-positive amplitude",
-                best_params=(scaled_amplitude, rate, shape),
+                "Gamma fit produced a non-finite curve",
+                best_params=(model.amplitude, model.rate, model.shape),
             )
-        self.amplitude_ = float(amplitude)
-        self.rate_ = float(rate)
-        self.shape_ = float(shape)
-        self.model_ = GammaModel(
-            amplitude=self.amplitude_, rate=self.rate_, shape=self.shape_
-        )
+        self.amplitude_ = model.amplitude
+        self.rate_ = model.rate
+        self.shape_ = model.shape
+        self.model_ = model
         self.support_ = support
         self.observed_ = observed
-        self.curve_ = self.model_.weights(support)
-        self.n_iter_ = total_iter
-        self.objective_traces_ = tuple(traces)
+        self.curve_ = curve
+        self.n_iter_ = int(evaluations)
         return self
 
     def predict(self, support):

@@ -117,6 +117,12 @@ class TestGammaCutoffIteration:
                 n=10, lower=1e308, alpha=0.5, rate=0.0, upper_init=1e308
             )
         assert len(excinfo.value.trace) >= 1
+        # 1/alpha of about 1,560 overflows the float power in the update
+        with pytest.raises(CutoffNumericError) as excinfo:
+            estimate_cutoff_gamma(
+                n=300, lower=0.22, alpha=6.4e-4, rate=0.0, upper_init=0.55
+            )
+        assert len(excinfo.value.trace) >= 1
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

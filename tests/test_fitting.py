@@ -1,9 +1,12 @@
 """Law estimation: exact recovery, sampled recovery, and estimator protocol."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numlaws import (
     BenfordFitter,
@@ -23,7 +26,13 @@ from numlaws import (
     sample_benford_digits,
     sample_zipf_values,
 )
-from numlaws.errors import FitFailureError, NotFittedError, UnderdeterminedFitError
+from numlaws.errors import (
+    FitFailureError,
+    NotFittedError,
+    NumlawsError,
+    UnderdeterminedFitError,
+)
+from numlaws.fitting import _gamma_profile, _gamma_start
 from numlaws.laws import GammaModel, ZipfModel
 
 
@@ -137,14 +146,21 @@ class TestGammaFit:
         curve = np.asarray(fit.curve)
         assert np.max(np.abs(curve - observed) / observed) < 1e-4
 
-    def test_monotone_descent_traces(self):
-        """The best simplex objective never increases within any start."""
+    def test_descent_from_closed_form_start(self):
+        """The fit is no worse than its closed-form start, nor than the
+        nested rate-zero fit."""
         xs = np.arange(1, 18, dtype=float)
-        fitter = GammaFitter().fit(exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs))
-        assert fitter.objective_traces_
-        for trace in fitter.objective_traces_:
-            diffs = np.diff(np.asarray(trace))
-            assert np.all(diffs <= 1e-15)
+        rng = np.random.default_rng(7)
+        freqs = np.asarray(
+            exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs).frequencies
+        ) * np.exp(rng.normal(0, 0.1, size=len(xs)))
+        log_xs = np.log(xs)
+        start = _gamma_start(xs, freqs, log_xs, rate_zero=False)
+        start_sse = float(np.sum(_gamma_profile(start, xs, freqs, log_xs)[0] ** 2))
+        fit = fit_gamma((xs, freqs))
+        assert fit.model.rate > 0
+        assert fit.residual_sum <= start_sse
+        assert fit.residual_sum <= fit_gamma_rate_zero((xs, freqs)).residual_sum
 
     def test_deterministic_bit_identical(self):
         xs = np.arange(1, 18, dtype=float)
@@ -177,12 +193,50 @@ class TestGammaFit:
             GammaFitter(max_iter=2).fit((xs, freqs))
         assert excinfo.value.best_params is not None
 
+    def test_overflowing_curve_raises(self):
+        """An exact power law of shape 131 on 100..300: the amplitude
+        underflows to a subnormal and the curve's exp() overflows."""
+        xs = np.array([100.0, 200.0, 300.0])
+        freqs = (xs / 300.0) ** 130
+        for fitter in (GammaFitter(), GammaFitter(rate_zero=True)):
+            with pytest.raises(FitFailureError, match="non-finite curve"):
+                fitter.fit((xs, freqs))
+
     def test_residual_matches_independent_recomputation(self):
         xs = np.arange(1, 10, dtype=float)
         freqs = np.array([0.3, 0.2, 0.15, 0.1, 0.08, 0.07, 0.05, 0.03, 0.02])
         fit = fit_gamma((xs, freqs))
         recomputed = float(np.sum((freqs - np.asarray(fit.curve)) ** 2))
         assert fit.residual_sum == pytest.approx(recomputed, abs=1e-9)
+
+
+FIT_SECONDS = 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=20).flatmap(
+        lambda k: st.lists(
+            st.floats(min_value=0.0, max_value=1e6), min_size=k, max_size=k
+        )
+    )
+)
+def test_gamma_fit_is_finite_and_dominates_nested_fit(frequencies):
+    """Any non-negative histogram on 1..k fits within the time bound to a
+    finite curve no worse than the nested rate-zero fit, or is refused
+    with a NumlawsError."""
+    xs = np.arange(1, len(frequencies) + 1, dtype=float)
+    started = time.perf_counter()
+    try:
+        full = fit_gamma((xs, frequencies))
+        nested = fit_gamma_rate_zero((xs, frequencies))
+    except NumlawsError:
+        pass
+    else:
+        assert np.all(np.isfinite(full.curve))
+        # both SSEs are recomputed from the curves, so allow round-off
+        assert full.residual_sum <= nested.residual_sum * (1 + 1e-9) + 1e-15
+    assert time.perf_counter() - started < FIT_SECONDS
 
 
 class TestGammaRateZeroFit:

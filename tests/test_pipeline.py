@@ -257,6 +257,25 @@ class TestBuildReport:
         assert sections["frequency"].notes
         assert "gamma" not in sections["length"].fits
 
+    def test_cutoff_overflow_is_noted_in_its_section(self):
+        """Length counts 165/69/66 fit a shape near 6e-4; the Gamma cutoff
+        update then overflows, which fails that cutoff, not the report."""
+        values = (0,) * 80 + (1,) * 85 + (10,) * 69 + (100,) * 66
+        report = build_report(NumberCorpus("overflow", values), AnalysisConfig(cutoff=True))
+        notes = report.corpora[0].sections["length"].notes
+        assert any(note.startswith("cutoff failed") for note in notes)
+
+    def test_spread_out_digits_still_give_a_report(self):
+        """Seven integers of 4 to 16 digits leave five sparse digit bins,
+        which once fitted a Gamma spike whose curve overflowed."""
+        values = (1871, 7545922990646895, 7988261716587219, 5804477, 843190,
+                  7067808913916, 400089832)
+        corpus = NumberCorpus("spread", values)
+        for cutoff in (False, True):
+            report = build_report(corpus, AnalysisConfig(cutoff=cutoff))
+            assert set(report.corpora[0].sections) == {"first_digit", "frequency", "length"}
+            json.loads(report_to_json(report))
+
     def test_pooling_identical_corpora_matches_single(self):
         corpus = sample_zipf_values(2000, alpha=0.8, support_size=80, seed=14)
         single = build_report(corpus)

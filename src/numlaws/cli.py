@@ -13,19 +13,16 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import (
-    DigitHistogram,
-    LengthHistogram,
-    RankFrequencyTable,
-    corpus_stats,
-)
+from .corpus import corpus_stats
 from .errors import IngestError, NumlawsError
 from .extract import ExtractionRules, read_csv_corpus, read_text_corpus
 from .fitting import fit_gamma, fit_zipf
 from .pipeline import (
+    DIMENSIONS,
     AnalysisConfig,
     build_report,
     report_to_json,
+    share_scale_cutoff,
     write_plot_bundles,
 )
 from .synth import sample_benford_digits, sample_gamma_lengths, sample_zipf_values
@@ -58,6 +55,11 @@ def _load_corpus(path: str, csv_column, rules: ExtractionRules, year=None):
     return read_text_corpus(path, rules, year=year)
 
 
+def _dimension_name(name: str) -> str:
+    """Accept the short ``digit`` spelling for the first-digit dimension."""
+    return "first_digit" if name == "digit" else name
+
+
 def _parse_year_map(spec: str | None) -> dict[str, int]:
     if not spec:
         return {}
@@ -81,15 +83,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    analyses = tuple(args.analyses.split(",")) if args.analyses else None
-    # accept the short digit spelling for the first-digit dimension
-    if analyses:
-        analyses = tuple("first_digit" if a == "digit" else a for a in analyses)
+    analyses = AnalysisConfig().analyses
+    if args.analyses:
+        analyses = tuple(_dimension_name(a) for a in args.analyses.split(","))
     try:
-        config = AnalysisConfig(
-            analyses=analyses or AnalysisConfig().analyses,
-            cutoff=args.cutoff,
-        )
+        config = AnalysisConfig(analyses=analyses, cutoff=args.cutoff)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     year_map = _parse_year_map(args.year_map)
@@ -195,18 +193,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cutoff(args) -> int:
-    from .pipeline import share_scale_cutoff
-
     corpus = _load_corpus(args.input, args.csv_column, ExtractionRules())
-    dimension = "first_digit" if args.dimension == "digit" else args.dimension
-    if dimension == "first_digit":
-        hist = DigitHistogram.from_corpus(corpus)
-    elif dimension == "frequency":
-        hist = RankFrequencyTable.from_corpus(corpus)
-    elif dimension == "length":
-        hist = LengthHistogram.from_corpus(corpus)
-    else:
-        raise UsageError(f"unknown dimension {args.dimension!r}")
+    dimension = _dimension_name(args.dimension)
+    hist = DIMENSIONS[dimension].view.from_corpus(corpus)
     if args.system == "zipf":
         fit = fit_zipf(hist)
     else:
@@ -234,7 +223,7 @@ def build_parser() -> _Parser:
     p_an.add_argument(
         "--analyses",
         default=None,
-        help="comma-separated subset of digit,frequency,length",
+        help=f"comma-separated subset of {','.join(DIMENSIONS)} (or digit)",
     )
     p_an.add_argument("--cutoff", action="store_true", help="estimate usage boundaries")
     p_an.add_argument("--out-dir", default=".")
@@ -258,7 +247,7 @@ def build_parser() -> _Parser:
     p_cut.add_argument("--input", required=True)
     p_cut.add_argument("--csv-column", default=None)
     p_cut.add_argument(
-        "--dimension", required=True, choices=("digit", "first_digit", "frequency", "length")
+        "--dimension", required=True, choices=("digit", *DIMENSIONS)
     )
     p_cut.add_argument("--system", required=True, choices=("gamma", "zipf"))
     p_cut.set_defaults(func=cmd_cutoff)

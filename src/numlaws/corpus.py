@@ -7,13 +7,21 @@ source document.  Three views feed the conformity analyses:
   skipped),
 - rank-frequency table of distinct values, ranked by descending count,
 - decimal-length histogram (zero prints as "0" and counts as length 1).
+
+All three views and the summary statistics depend only on how often each
+distinct value occurs, so they are built from one value->count table,
+``NumberCorpus.value_counts``, counted once per corpus.  Each view
+inspects every distinct value once, weighted by its count, instead of
+every occurrence; ``values`` keeps the document order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from statistics import median as _median
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,6 +47,24 @@ class NumberCorpus:
     def __len__(self):
         return len(self.values)
 
+    @cached_property
+    def value_counts(self) -> Counter:
+        """How often each distinct value occurs: the corpus's sufficient statistic.
+
+        Built on first use and shared by every view; do not modify it.
+        """
+        return Counter(self.values)
+
+
+def _count_by(corpus: NumberCorpus, key) -> Counter:
+    """Occurrences per ``key(value)``, one call per distinct value; None keys skipped."""
+    counts = Counter()
+    for value, count in corpus.value_counts.items():
+        k = key(value)
+        if k is not None:
+            counts[k] += count
+    return counts
+
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -61,15 +87,24 @@ class CorpusStats:
 def corpus_stats(corpus: NumberCorpus) -> CorpusStats:
     """Exact count/max/min, mean and sorted-middle median.
 
-    Computed on Python integers so arbitrarily large values stay exact.
+    Computed on Python integers from the value->count table, so
+    arbitrarily large values stay exact: the mean is the exact total
+    divided by n, and the median is read off cumulative counts the way
+    ``statistics.median`` reads the sorted values.
     """
-    values = corpus.values
+    counts = corpus.value_counts
+    n = len(corpus.values)
+    distinct = sorted(counts)
+    # sorted position i holds the first value whose cumulative count exceeds i
+    cumulative = list(accumulate(counts[v] for v in distinct))
+    low = distinct[bisect_right(cumulative, (n - 1) // 2)]
+    high = distinct[bisect_right(cumulative, n // 2)]
     return CorpusStats(
-        observation_count=len(values),
-        max=max(values),
-        min=min(values),
-        mean=sum(values) / len(values),
-        median=float(_median(values)),
+        observation_count=n,
+        max=distinct[-1],
+        min=distinct[0],
+        mean=sum(v * c for v, c in counts.items()) / n,
+        median=float(low) if n % 2 else (low + high) / 2,
     )
 
 
@@ -120,12 +155,12 @@ class DigitHistogram:
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "DigitHistogram":
-        digits = [d for d in (first_digit(v) for v in corpus.values) if d is not None]
+        digits = _count_by(corpus, first_digit)
         if not digits:
             raise EmptyHistogramError(
                 f"corpus {corpus.label!r} has no nonzero values for digit analysis"
             )
-        return cls.from_digits(digits)
+        return cls(tuple(digits.get(d, 0) for d in range(1, 10)))
 
     @property
     def total(self) -> int:
@@ -166,7 +201,8 @@ class LengthHistogram:
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "LengthHistogram":
-        return cls.from_lengths(decimal_length(v) for v in corpus.values)
+        lengths = _count_by(corpus, decimal_length)
+        return cls(tuple(lengths.get(k, 0) for k in range(1, max(lengths) + 1)))
 
     @property
     def total(self) -> int:
@@ -198,8 +234,7 @@ class RankFrequencyTable:
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "RankFrequencyTable":
-        counter = Counter(corpus.values)
-        ordered = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
+        ordered = sorted(corpus.value_counts.items(), key=lambda kv: (-kv[1], kv[0]))
         values, counts = zip(*ordered)
         return cls(values, counts)
 

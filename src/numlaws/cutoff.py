@@ -215,28 +215,18 @@ class BoundarySummary:
         }
 
 
-def observed_boundary_share(dimension: str, histogram) -> float:
-    """The observed share the dimension's boundary is compared against.
+def cutoff_report(estimates: dict, observed_shares: dict) -> BoundarySummary:
+    """Compare cutoff estimates (on the share scale) with observed shares.
 
-    Digits and value frequency compare their largest share; length
-    compares the share of the longest observed length.
+    Both arguments map dimension name to its estimate and to the observed
+    share its boundary bounds.
     """
-    freqs = histogram.frequencies
-    if dimension in ("first_digit", "frequency"):
-        return float(freqs.max())
-    if dimension == "length":
-        return float(freqs[-1])
-    raise ValueError(f"unknown dimension {dimension!r}")
-
-
-def cutoff_report(estimates: dict, histograms: dict) -> BoundarySummary:
-    """Convert cutoff estimates (on the share scale) into boundary entries."""
     if not estimates:
         raise ValueError("need at least one cutoff estimate")
     entries = []
     for dimension in sorted(estimates):
         estimate = estimates[dimension]
-        observed = observed_boundary_share(dimension, histograms[dimension])
+        observed = float(observed_shares[dimension])
         entries.append(
             BoundaryEntry(
                 dimension=dimension,

@@ -3,7 +3,9 @@
 Filtering rules, applied mechanically and deterministically:
 
 - tokens containing a decimal fraction are dropped whole, never truncated,
-- thousands separators (comma and thin/narrow spaces) are stripped,
+- thousands separators (comma and thin/narrow spaces) are stripped; a
+  separator counts only before a group of exactly three digits, so
+  "1,2,3" is three numbers,
 - a digit run immediately followed by a footnote marker character (the
   superscripted-annotation style) is dropped,
 - parenthesized accounting negatives contribute their absolute value; a
@@ -40,8 +42,12 @@ class ExtractionRules:
 
     def token_pattern(self) -> re.Pattern:
         seps = re.escape(self.thousands_separators)
-        # no digit or dot directly before the token: "1.2.3" must not leak "3"
-        return re.compile(rf"(?<![0-9.])([0-9][0-9{seps}]*)(\.[0-9]+)?")
+        # no digit or dot directly before the token: "1.2.3" must not leak "3";
+        # a separator joins only a group of exactly three digits, so "1,2,3"
+        # and "12,34" stay separate numbers
+        return re.compile(
+            rf"(?<![0-9.])([0-9]+(?:[{seps}][0-9]{{3}}(?![0-9]))*)(\.[0-9]+)?"
+        )
 
     def to_dict(self):
         return {

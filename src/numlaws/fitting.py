@@ -74,12 +74,6 @@ class FitResult:
             "iterations": self.iterations,
         }
 
-    def curve_csv(self) -> str:
-        """Two-column CSV (support, fitted) for external plotting."""
-        lines = ["support,fitted"]
-        lines.extend(f"{x!r},{y!r}" for x, y in zip(self.support, self.curve))
-        return "\n".join(lines) + "\n"
-
 
 def _build_result(model, support, observed, curve, iterations) -> FitResult:
     scores = score_fit(observed, curve)

@@ -72,7 +72,13 @@ def kl_divergence(p, q, smooth: bool = True) -> float:
         q = q + KL_SMOOTH_EPSILON
         q = q / q.sum()
     mask = p > 0.0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    p, q = p[mask], q[mask]
+    with np.errstate(over="ignore"):
+        log_ratio = np.log(p / q)
+    # a subnormal fitted mass overflows the ratio; its log stays finite
+    overflow = np.isinf(log_ratio)
+    log_ratio[overflow] = np.log(p[overflow]) - np.log(q[overflow])
+    return float(np.sum(p * log_ratio))
 
 
 def js_divergence(p, q) -> float:
@@ -93,7 +99,9 @@ def mape(observed, fitted) -> float:
 
     Terms with zero observed value are excluded from the average: a
     percentage error against zero is undefined and any smoothing floor
-    would dominate the mean arbitrarily.
+    would dominate the mean arbitrarily.  A subnormal observed value can
+    make a quotient overflow, and the result is then ``inf`` (a report
+    writes it as null).
     """
     p = as_float_array(observed, "observed")
     q = as_float_array(fitted, "fitted")
@@ -101,7 +109,8 @@ def mape(observed, fitted) -> float:
     mask = p != 0.0
     if not np.any(mask):
         raise DegenerateDataError("all observed values are zero; MAPE undefined")
-    return float(np.mean(np.abs(q[mask] - p[mask]) / np.abs(p[mask])))
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.abs(q[mask] - p[mask]) / np.abs(p[mask])))
 
 
 @dataclass(frozen=True)

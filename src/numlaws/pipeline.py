@@ -6,13 +6,22 @@ optional cutoff estimate and data-quality notes.  A report over several
 corpora adds pooled fits, year-over-year conformity trends and anomaly
 flags.  Reports are pure functions of corpus + configuration: identical
 inputs serialize to byte-identical JSON.
+
+``DIMENSIONS`` is the one registry of per-dimension policy: the view
+built from the corpus, the candidate fits in preference order, the law
+the cutoff iteration runs on, the primary model whose failure is an
+anomaly, and the observed share a boundary is compared against.
+``analyze_dimension`` runs any dimension from its record; the CLI and
+``AnalysisConfig`` read their dimension names from it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -46,17 +55,67 @@ from .laws import GammaModel
 
 REPORT_SCHEMA_ID = "number-law-report/1"
 
-DIMENSIONS = ("first_digit", "frequency", "length")
-
-# conformity model whose failure flags a dimension as anomalous
-PRIMARY_MODEL = {"first_digit": "benford", "frequency": "zipf", "length": "gamma"}
-
 TREND_SLOPE_THRESHOLD = -0.02
 
 
 @dataclass(frozen=True)
+class Dimension:
+    """How one dimension is viewed, fitted, bounded and judged."""
+
+    view: type
+    # candidates in preference order: (model name, fitter in this module,
+    # note prefix when the fit fails); the fitter is looked up by name at
+    # call time so that a replaced module function is the one called
+    fits: tuple[tuple[str, str, str], ...]
+    # law the cutoff iteration runs on, with that fit's parameters
+    cutoff_law: str
+    # conformity model whose failure flags the dimension as anomalous
+    primary_model: str
+    # observed share compared with the estimated boundary, from frequencies
+    boundary_share: Callable
+    # fit whose exponent ~ 0 is noted as a degenerate flat line
+    flat_fit: str | None = None
+
+
+DIMENSIONS = {
+    # the digit axis doubles as a rank axis, so Gamma is always tried too
+    "first_digit": Dimension(
+        view=DigitHistogram,
+        fits=(
+            ("benford", "fit_benford", "benford fit unavailable"),
+            ("gamma", "fit_gamma", "gamma fit unavailable"),
+        ),
+        cutoff_law="gamma",
+        primary_model="benford",
+        boundary_share=max,
+    ),
+    "frequency": Dimension(
+        view=RankFrequencyTable,
+        fits=(("zipf", "fit_zipf", "zipf fit unavailable"),),
+        cutoff_law="zipf",
+        primary_model="zipf",
+        boundary_share=max,
+        flat_fit="zipf",
+    ),
+    # the two comparison candidates (rate pinned to zero, and Zipf with
+    # length standing in for rank) reproduce the tail-behavior experiment
+    "length": Dimension(
+        view=LengthHistogram,
+        fits=(
+            ("gamma", "fit_gamma", "gamma fit underdetermined"),
+            ("gamma_rate_zero", "fit_gamma_rate_zero", "rate-zero gamma fit underdetermined"),
+            ("zipf", "fit_zipf_on_lengths", "zipf-on-length fit underdetermined"),
+        ),
+        cutoff_law="gamma",
+        primary_model="gamma",
+        boundary_share=lambda frequencies: frequencies[-1],
+    ),
+}
+
+
+@dataclass(frozen=True)
 class AnalysisConfig:
-    analyses: tuple[str, ...] = DIMENSIONS
+    analyses: tuple[str, ...] = tuple(DIMENSIONS)
     cutoff: bool = False
     trend_metric: str = "r_squared"
     trend_slope_threshold: float = TREND_SLOPE_THRESHOLD
@@ -130,14 +189,7 @@ class ComparisonSeries:
     abs_derivative_b: tuple[float, ...]
 
     def to_dict(self):
-        return {
-            "support_a": list(self.support_a),
-            "normalized_a": list(self.normalized_a),
-            "abs_derivative_a": list(self.abs_derivative_a),
-            "support_b": list(self.support_b),
-            "normalized_b": list(self.normalized_b),
-            "abs_derivative_b": list(self.abs_derivative_b),
-        }
+        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -210,127 +262,66 @@ def share_scale_cutoff(system: str, frequencies, total, fit: FitResult):
     )
 
 
-def analyze_first_digit(corpus: NumberCorpus, include_cutoff=False) -> AnalysisSection:
-    """First-digit histogram with both the Benford and Gamma candidates.
+def analyze_dimension(
+    dimension: str, corpus: NumberCorpus, include_cutoff=False
+) -> AnalysisSection:
+    """One dimension's view with its candidate fits and optional cutoff.
 
-    The digit axis doubles as a rank axis, so the Gamma alternative is
-    always fitted alongside Benford; whichever scores the higher R^2 is
-    recorded as preferred.
+    A candidate that fails with a NumlawsError is noted rather than
+    raised, so the others and the other sections survive.  The preferred
+    model is the first candidate, in the registry's order, with the
+    highest R^2.
     """
-    hist = DigitHistogram.from_corpus(corpus)
+    spec = DIMENSIONS[dimension]
+    view = spec.view.from_corpus(corpus)
     fits: dict[str, FitResult] = {}
     notes: list[str] = []
-    fits["benford"] = fit_benford(hist)
-    try:
-        fits["gamma"] = fit_gamma(hist)
-    except NumlawsError as exc:
-        notes.append(f"gamma fit unavailable: {exc}")
-    preferred = "benford"
-    if "gamma" in fits and fits["gamma"].scores.r_squared > fits["benford"].scores.r_squared:
-        preferred = "gamma"
+    for model_name, fitter, failure in spec.fits:
+        try:
+            fits[model_name] = globals()[fitter](view)
+        except NumlawsError as exc:
+            notes.append(f"{failure}: {exc}")
+    if spec.flat_fit in fits and abs(fits[spec.flat_fit].model.exponent) < 1e-12:
+        notes.append("degenerate: flat rank-frequency line (exponent ~ 0)")
     cutoff = None
-    if include_cutoff and "gamma" in fits:
+    if include_cutoff and spec.cutoff_law in fits:
         try:
             cutoff = share_scale_cutoff(
-                "gamma", hist.frequencies, hist.total, fits["gamma"]
+                spec.cutoff_law, view.frequencies, view.total, fits[spec.cutoff_law]
             )
         except NumlawsError as exc:
             notes.append(f"cutoff failed: {exc}")
+    candidates = [name for name, _, _ in spec.fits if name in fits]
     return AnalysisSection(
-        dimension="first_digit",
-        support=tuple(float(x) for x in hist.support),
-        counts=hist.counts,
-        frequencies=tuple(float(f) for f in hist.frequencies),
+        dimension=dimension,
+        support=tuple(float(x) for x in view.support),
+        counts=view.counts,
+        frequencies=tuple(float(f) for f in view.frequencies),
         fits=fits,
-        preferred_model=preferred,
+        # only the rank table carries the distinct values it ranks
+        values=getattr(view, "values", None),
+        preferred_model=max(
+            candidates, key=lambda name: fits[name].scores.r_squared, default=None
+        ),
         cutoff=cutoff,
         notes=tuple(notes),
     )
 
 
-def analyze_frequency(corpus: NumberCorpus, include_cutoff=False) -> AnalysisSection:
-    """Rank-frequency table with the Zipf fit and optional cutoff."""
-    table = RankFrequencyTable.from_corpus(corpus)
-    fits: dict[str, FitResult] = {}
-    notes: list[str] = []
-    try:
-        fits["zipf"] = fit_zipf(table)
-        if abs(fits["zipf"].model.exponent) < 1e-12:
-            notes.append("degenerate: flat rank-frequency line (exponent ~ 0)")
-    except NumlawsError as exc:
-        notes.append(f"zipf fit unavailable: {exc}")
-    cutoff = None
-    if include_cutoff and "zipf" in fits:
-        try:
-            cutoff = share_scale_cutoff(
-                "zipf", table.frequencies, table.total, fits["zipf"]
-            )
-        except NumlawsError as exc:
-            notes.append(f"cutoff failed: {exc}")
-    return AnalysisSection(
-        dimension="frequency",
-        support=tuple(float(r) for r in table.ranks),
-        counts=table.counts,
-        frequencies=tuple(float(f) for f in table.frequencies),
-        fits=fits,
-        values=table.values,
-        preferred_model="zipf" if "zipf" in fits else None,
-        cutoff=cutoff,
-        notes=tuple(notes),
-    )
+def _normalized_gradient(fit: FitResult):
+    """(support, curve, curve as a pmf, |central difference| of the pmf).
 
-
-def analyze_length(corpus: NumberCorpus, include_cutoff=False) -> AnalysisSection:
-    """Length histogram with the Gamma fit and both comparison fits.
-
-    The two comparison candidates (rate pinned to zero, and Zipf with
-    length standing in for rank) reproduce the tail-behavior experiment;
-    an underdetermined Gamma fit is noted rather than raised so the other
-    sections survive.
+    The difference is one-sided at the edges and zero on a one-point
+    support.
     """
-    hist = LengthHistogram.from_corpus(corpus)
-    fits: dict[str, FitResult] = {}
-    notes: list[str] = []
-    try:
-        fits["gamma"] = fit_gamma(hist)
-    except NumlawsError as exc:
-        notes.append(f"gamma fit underdetermined: {exc}")
-    try:
-        fits["gamma_rate_zero"] = fit_gamma_rate_zero(hist)
-    except NumlawsError as exc:
-        notes.append(f"rate-zero gamma fit underdetermined: {exc}")
-    try:
-        fits["zipf"] = fit_zipf_on_lengths(hist)
-    except NumlawsError as exc:
-        notes.append(f"zipf-on-length fit underdetermined: {exc}")
-    cutoff = None
-    if include_cutoff and "gamma" in fits:
-        try:
-            cutoff = share_scale_cutoff(
-                "gamma", hist.frequencies, hist.total, fits["gamma"]
-            )
-        except NumlawsError as exc:
-            notes.append(f"cutoff failed: {exc}")
-    preferred = None
-    if fits:
-        preferred = max(sorted(fits), key=lambda name: fits[name].scores.r_squared)
-    return AnalysisSection(
-        dimension="length",
-        support=tuple(float(x) for x in hist.support),
-        counts=hist.counts,
-        frequencies=tuple(float(f) for f in hist.frequencies),
-        fits=fits,
-        preferred_model=preferred,
-        cutoff=cutoff,
-        notes=tuple(notes),
-    )
-
-
-_ANALYZERS = {
-    "first_digit": analyze_first_digit,
-    "frequency": analyze_frequency,
-    "length": analyze_length,
-}
+    support = np.asarray(fit.support, dtype=float)
+    curve = np.asarray(fit.curve, dtype=float)
+    normalized = curve / curve.sum()
+    if len(support) > 1:
+        gradient = np.abs(np.gradient(normalized, support))
+    else:
+        gradient = np.zeros(1)
+    return support, curve, normalized, gradient
 
 
 def curve_compare(fit_a: FitResult, fit_b: FitResult) -> ComparisonSeries:
@@ -342,19 +333,8 @@ def curve_compare(fit_a: FitResult, fit_b: FitResult) -> ComparisonSeries:
     for fit in (fit_a, fit_b):
         if not isinstance(fit.model, GammaModel):
             raise TypeError("curve_compare expects two Gamma fits")
-
-    def series(fit):
-        support = np.asarray(fit.support, dtype=float)
-        curve = np.asarray(fit.curve, dtype=float)
-        normalized = curve / curve.sum()
-        if len(support) > 1:
-            derivative = np.abs(np.gradient(normalized, support))
-        else:
-            derivative = np.zeros(1)
-        return support, normalized, derivative
-
-    sa, na, da = series(fit_a)
-    sb, nb, db = series(fit_b)
+    sa, _, na, da = _normalized_gradient(fit_a)
+    sb, _, nb, db = _normalized_gradient(fit_b)
     return ComparisonSeries(
         support_a=tuple(sa), normalized_a=tuple(na), abs_derivative_a=tuple(da),
         support_b=tuple(sb), normalized_b=tuple(nb), abs_derivative_b=tuple(db),
@@ -403,8 +383,8 @@ def _analyze_corpus(corpus: NumberCorpus, config: AnalysisConfig) -> CorpusAnaly
         if dimension not in config.analyses:
             continue
         try:
-            sections[dimension] = _ANALYZERS[dimension](
-                corpus, include_cutoff=config.cutoff
+            sections[dimension] = analyze_dimension(
+                dimension, corpus, include_cutoff=config.cutoff
             )
         except NumlawsError as exc:
             # per-section isolation: one failed dimension never voids the rest
@@ -416,21 +396,13 @@ def _analyze_corpus(corpus: NumberCorpus, config: AnalysisConfig) -> CorpusAnaly
                 fits={},
                 notes=(f"section failed: {exc}",),
             )
+    estimated = {d: s for d, s in sections.items() if s.cutoff is not None}
     boundaries = None
-    if config.cutoff:
-        estimates = {
-            d: s.cutoff for d, s in sections.items() if s.cutoff is not None
-        }
-        if estimates:
-            histograms = {
-                "first_digit": DigitHistogram,
-                "frequency": RankFrequencyTable,
-                "length": LengthHistogram,
-            }
-            built = {
-                d: histograms[d].from_corpus(corpus) for d in estimates
-            }
-            boundaries = cutoff_report(estimates, built)
+    if estimated:
+        boundaries = cutoff_report(
+            {d: s.cutoff for d, s in estimated.items()},
+            {d: DIMENSIONS[d].boundary_share(s.frequencies) for d, s in estimated.items()},
+        )
     return CorpusAnalysis(
         label=corpus.label,
         year=corpus.year,
@@ -447,20 +419,11 @@ def _collect_trends(analyses, config: AnalysisConfig):
     if len(set(years)) < 3 or len(set(years)) != len(years):
         return ()
     for dimension in config.analyses:
-        model_names = sorted(
-            {
-                name
-                for a in by_year
-                if dimension in a.sections
-                for name in a.sections[dimension].fits
-            }
-        )
-        for model_name in model_names:
-            series = {
-                a.year: a.sections[dimension].fits[model_name]
-                for a in by_year
-                if dimension in a.sections and model_name in a.sections[dimension].fits
-            }
+        fits_by_year = [
+            (a.year, a.sections[dimension].fits) for a in by_year if dimension in a.sections
+        ]
+        for model_name in sorted({name for _, fits in fits_by_year for name in fits}):
+            series = {year: fits[model_name] for year, fits in fits_by_year if model_name in fits}
             if len(series) < 3:
                 continue
             finding = trend_over_years(
@@ -469,70 +432,44 @@ def _collect_trends(analyses, config: AnalysisConfig):
                 slope_threshold=config.trend_slope_threshold,
             )
             trends.append(
-                TrendFinding(
-                    metric=f"{dimension}.{model_name}.{finding.metric}",
-                    years=finding.years,
-                    values=finding.values,
-                    slope=finding.slope,
-                    flagged=finding.flagged,
-                )
+                replace(finding, metric=f"{dimension}.{model_name}.{finding.metric}")
             )
     return tuple(trends)
+
+
+def _anomaly(kind, corpus, dimension, model, detail):
+    return dict(kind=kind, corpus=corpus, dimension=dimension, model=model, detail=detail)
 
 
 def _collect_anomalies(analyses, trends):
     anomalies = []
     for analysis in analyses:
+        label = analysis.label
         for dimension in sorted(analysis.sections):
             section = analysis.sections[dimension]
-            primary = PRIMARY_MODEL[dimension]
+            primary = DIMENSIONS[dimension].primary_model
             fit = section.fits.get(primary)
             if fit is not None and fit.verdict.r_squared == "fail":
-                anomalies.append(
-                    {
-                        "kind": "poor_fit",
-                        "corpus": analysis.label,
-                        "dimension": dimension,
-                        "model": primary,
-                        "detail": f"r_squared={fit.scores.r_squared!r} below acceptance",
-                    }
-                )
+                anomalies.append(_anomaly(
+                    "poor_fit", label, dimension, primary,
+                    f"r_squared={fit.scores.r_squared!r} below acceptance",
+                ))
             for note in section.notes:
-                anomalies.append(
-                    {
-                        "kind": "data_quality",
-                        "corpus": analysis.label,
-                        "dimension": dimension,
-                        "model": None,
-                        "detail": note,
-                    }
-                )
+                anomalies.append(_anomaly("data_quality", label, dimension, None, note))
         if analysis.boundaries is not None:
             for entry in analysis.boundaries.entries:
                 if not entry.within_boundary:
-                    anomalies.append(
-                        {
-                            "kind": "boundary_exceeded",
-                            "corpus": analysis.label,
-                            "dimension": entry.dimension,
-                            "model": None,
-                            "detail": (
-                                f"observed share {entry.observed_share!r} exceeds "
-                                f"estimated boundary {entry.estimated_share!r}"
-                            ),
-                        }
-                    )
+                    anomalies.append(_anomaly(
+                        "boundary_exceeded", label, entry.dimension, None,
+                        f"observed share {entry.observed_share!r} exceeds "
+                        f"estimated boundary {entry.estimated_share!r}",
+                    ))
     for trend in trends:
         if trend.flagged:
-            anomalies.append(
-                {
-                    "kind": "declining_trend",
-                    "corpus": None,
-                    "dimension": None,
-                    "model": trend.metric,
-                    "detail": f"slope {trend.slope!r} per year",
-                }
-            )
+            anomalies.append(_anomaly(
+                "declining_trend", None, None, trend.metric,
+                f"slope {trend.slope!r} per year",
+            ))
     return tuple(anomalies)
 
 
@@ -546,16 +483,13 @@ def build_report(corpora, config: AnalysisConfig | None = None, inputs=None) -> 
     config = config or AnalysisConfig()
     analyses = [_analyze_corpus(c, config) for c in corpora]
 
-    pooled = None
+    pooled = {}
     if len(corpora) > 1:
-        pooled = {}
         for dimension in config.analyses:
             try:
                 pooled[dimension] = pooled_fit(corpora, dimension)
             except NumlawsError:
                 continue
-        if not pooled:
-            pooled = None
 
     trends = _collect_trends(analyses, config)
     anomalies = _collect_anomalies(analyses, trends)
@@ -568,7 +502,7 @@ def build_report(corpora, config: AnalysisConfig | None = None, inputs=None) -> 
     return AnalysisReport(
         provenance=provenance,
         corpora=tuple(analyses),
-        pooled=pooled,
+        pooled=pooled or None,
         trends=trends,
         anomalies=anomalies,
     )
@@ -596,8 +530,6 @@ def write_plot_bundles(report: AnalysisReport, out_dir) -> list:
     Columns: support, observed frequency, fitted curve, fitted curve
     normalized to a pmf, and |central difference| of the normalized curve.
     """
-    from pathlib import Path
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -606,20 +538,13 @@ def write_plot_bundles(report: AnalysisReport, out_dir) -> list:
             section = analysis.sections[dimension]
             for model_name in sorted(section.fits):
                 fit = section.fits[model_name]
-                support = np.asarray(fit.support, dtype=float)
-                curve = np.asarray(fit.curve, dtype=float)
-                normalized = curve / curve.sum()
-                if len(support) > 1:
-                    gradient = np.abs(np.gradient(normalized, support))
-                else:
-                    gradient = np.zeros(1)
+                support, curve, normalized, gradient = _normalized_gradient(fit)
                 path = out_dir / f"{analysis.label}.{dimension}.{model_name}.csv"
                 lines = ["support,observed,fitted,fitted_pmf,abs_gradient"]
-                for i in range(len(support)):
-                    lines.append(
-                        f"{support[i]!r},{fit.observed[i]!r},{curve[i]!r},"
-                        f"{normalized[i]!r},{gradient[i]!r}"
-                    )
+                lines.extend(
+                    ",".join(repr(v) for v in row)
+                    for row in zip(support, fit.observed, curve, normalized, gradient)
+                )
                 path.write_text("\n".join(lines) + "\n", encoding="utf-8")
                 written.append(path)
     return written

@@ -1,7 +1,12 @@
 """Corpus types, summary statistics and the three observed distributions."""
 
+import statistics
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numlaws import (
     NumberCorpus,
@@ -15,7 +20,7 @@ from numlaws import (
     sample_benford_digits,
     sample_zipf_values,
 )
-from numlaws.corpus import DigitHistogram
+from numlaws.corpus import DigitHistogram, LengthHistogram, RankFrequencyTable
 from numlaws.errors import EmptyCorpusError, EmptyHistogramError
 
 
@@ -191,3 +196,47 @@ class TestMergeCorpora:
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyCorpusError):
             merge_corpora([])
+
+
+# a few distinct values, zeros and integers of 2**64 and above among them,
+# each drawn repeatedly
+_VALUE = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2**64, max_value=2**80),
+)
+_CORPUS_VALUES = st.lists(_VALUE, min_size=1, max_size=30).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=200)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CORPUS_VALUES)
+def test_views_from_value_counts_match_per_value_definitions(values):
+    """The views and statistics built from the value->count table equal
+    their definitions over every occurrence."""
+    corpus = make_corpus(values)
+    assert corpus.values == tuple(values)
+
+    digits = Counter(first_digit(v) for v in values if v != 0)
+    if digits:
+        expected = tuple(digits.get(d, 0) for d in range(1, 10))
+        assert DigitHistogram.from_corpus(corpus).counts == expected
+    else:
+        with pytest.raises(EmptyHistogramError):
+            DigitHistogram.from_corpus(corpus)
+
+    lengths = Counter(decimal_length(v) for v in values)
+    expected = tuple(lengths.get(k, 0) for k in range(1, max(lengths) + 1))
+    assert LengthHistogram.from_corpus(corpus).counts == expected
+
+    ranked = sorted(Counter(values).items(), key=lambda kv: (-kv[1], kv[0]))
+    table = RankFrequencyTable.from_corpus(corpus)
+    assert table.values == tuple(v for v, _ in ranked)
+    assert table.counts == tuple(c for _, c in ranked)
+
+    stats = corpus_stats(corpus)
+    assert stats.observation_count == len(values)
+    assert stats.min == min(values) and stats.max == max(values)
+    assert stats.mean == sum(values) / len(values)
+    assert stats.median == float(statistics.median(values))

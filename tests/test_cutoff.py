@@ -23,6 +23,7 @@ from numlaws.cutoff import (
     zipf_update,
 )
 from numlaws.errors import CutoffDomainError, CutoffNumericError
+from numlaws.pipeline import DIMENSIONS
 
 
 class TestGammaUpdateMap:
@@ -214,6 +215,10 @@ class TestSystemAgreement:
             assert lower <= z.upper_cutoff <= hi
 
 
+def frequency_share(table):
+    return {"frequency": DIMENSIONS["frequency"].boundary_share(table.frequencies)}
+
+
 class TestCutoffReport:
     def test_single_value_half_share_reported_exactly(self):
         corpus = NumberCorpus("t", (7,) * 50 + tuple(range(100, 150)))
@@ -222,7 +227,7 @@ class TestCutoffReport:
             n=len(table), lower=float(min(table.frequencies)), alpha=0.75,
             upper_init=float(max(table.frequencies)),
         )
-        summary = cutoff_report({"frequency": estimate}, {"frequency": table})
+        summary = cutoff_report({"frequency": estimate}, frequency_share(table))
         entry = summary.entries[0]
         assert entry.dimension == "frequency"
         assert entry.observed_share == 0.5
@@ -233,7 +238,7 @@ class TestCutoffReport:
         estimate = estimate_cutoff_zipf(
             n=len(table), lower=0.5, alpha=1.0, upper_init=0.9
         )
-        summary = cutoff_report({"frequency": estimate}, {"frequency": table})
+        summary = cutoff_report({"frequency": estimate}, frequency_share(table))
         entry = summary.entries[0]
         assert entry.within_boundary == (entry.observed_share <= entry.estimated_share)
 
@@ -241,7 +246,7 @@ class TestCutoffReport:
         corpus = NumberCorpus("t", (7,) * 5 + (8,) * 3)
         table = rank_frequency(corpus)
         estimate = estimate_cutoff_zipf(n=2, lower=0.375, alpha=1.0, upper_init=0.625)
-        payload = cutoff_report({"frequency": estimate}, {"frequency": table}).to_dict()
+        payload = cutoff_report({"frequency": estimate}, frequency_share(table)).to_dict()
         assert payload["reference_shares"] == REFERENCE_BOUNDARY_SHARES
 
     def test_empty_estimates_rejected(self):

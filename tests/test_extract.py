@@ -70,6 +70,19 @@ class TestTextExtraction:
         assert list(corpus.values) == FIXTURE_EXPECTED
         assert corpus.label == "statement_fixture"
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("values 1,2,3", (1, 2, 3)),
+            ("12,34", (12, 34)),
+            ("1,2345", (1, 2345)),
+            ("1,234,567 and 12\u2009345", (1234567, 12345)),
+            ("(1,250)", (1250,)),
+        ],
+    )
+    def test_separator_joins_only_three_digit_groups(self, text, expected):
+        assert extract_numbers(text).values == expected
+
     def test_custom_marker_rules(self):
         rules = ExtractionRules(footnote_markers="#")
         corpus = extract_numbers("12# and 77* and 9", rules)
@@ -81,6 +94,11 @@ class TestParseCell:
         "cell,expected",
         [
             ("1,250", 1250),
+            ("1,234,567", 1234567),
+            ("12\u2009345\u202f678", 12345678),
+            ("1,2,3", None),
+            ("12,34", None),
+            ("1,2345", None),
             (" 905 ", 905),
             ("(48)", 48),
             ("-300", 300),

@@ -352,16 +352,6 @@ class TestFitResultContract:
         assert payload["model"] == "benford"
         assert len(payload["fitted"]) == len(payload["support"])
 
-    def test_two_column_curve_csv(self):
-        xs = np.arange(1, 10, dtype=float)
-        fit = fit_benford((xs, np.log10(1 + 1 / xs)))
-        lines = fit.curve_csv().splitlines()
-        assert lines[0] == "support,fitted"
-        assert len(lines) == 10
-        x, y = lines[1].split(",")
-        assert float(x) == 1.0
-        assert float(y) == pytest.approx(math.log10(2), abs=1e-15)
-
 
 class TestEstimatorProtocol:
     def test_get_set_params_round_trip(self):

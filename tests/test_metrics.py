@@ -93,6 +93,13 @@ class TestKL:
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.6], [0.5, 0.5])
 
+    def test_subnormal_fitted_mass_gives_finite_term(self):
+        """p/q overflows for q = 1e-318; p*(log p - log q) does not."""
+        p, q = 1e-8, 1e-318
+        expected = p * (math.log(p) - math.log(q)) + (1 - p) * math.log((1 - p) / (1 - q))
+        d = kl_divergence([p, 1 - p], [q, 1 - q])
+        assert d == pytest.approx(expected, rel=1e-12)
+
 
 class TestJS:
     def test_identity(self):
@@ -150,6 +157,9 @@ class TestMape:
     def test_all_zero_observed_rejected(self):
         with pytest.raises(DegenerateDataError):
             mape([0.0, 0.0], [1.0, 2.0])
+
+    def test_subnormal_observed_value_gives_inf(self):
+        assert mape([5e-324, 1.0], [1.0, 1.0]) == math.inf
 
 
 class TestClassifyFit:

@@ -11,9 +11,7 @@ from numlaws import (
     AnalysisConfig,
     GammaModel,
     NumberCorpus,
-    analyze_first_digit,
-    analyze_frequency,
-    analyze_length,
+    analyze_dimension,
     benford_pmf,
     build_report,
     curve_compare,
@@ -68,13 +66,14 @@ POOLED_LENGTH_PMF = discrete_normalize(
 class TestFirstDigitSection:
     def test_near_benford_corpus_scores_strong(self):
         counts = rounded_counts([benford_pmf(d) for d in range(1, 10)], n=10**5)
-        section = analyze_first_digit(corpus_from_digit_counts(counts))
+        section = analyze_dimension("first_digit", corpus_from_digit_counts(counts))
         fit = section.fits["benford"]
         assert fit.scores.r_squared > 0.9999
         assert fit.verdict.r_squared == "strong"
 
     def test_pooled_digit_curve_prefers_gamma(self):
-        section = analyze_first_digit(corpus_from_digit_counts(rounded_counts(POOLED_DIGIT_PMF)))
+        corpus = corpus_from_digit_counts(rounded_counts(POOLED_DIGIT_PMF))
+        section = analyze_dimension("first_digit", corpus)
         assert (
             section.fits["gamma"].scores.r_squared
             >= section.fits["benford"].scores.r_squared
@@ -84,13 +83,13 @@ class TestFirstDigitSection:
     def test_adversarial_mass_defeats_both_models(self):
         """A U-shaped digit histogram sits outside both families."""
         corpus = corpus_from_digit_counts([400, 20, 20, 20, 20, 20, 20, 30, 450])
-        section = analyze_first_digit(corpus)
+        section = analyze_dimension("first_digit", corpus)
         assert section.fits["benford"].verdict.r_squared == "fail"
         assert section.fits["gamma"].verdict.r_squared == "fail"
 
     def test_cutoff_attached_on_request(self):
         corpus = corpus_from_digit_counts(rounded_counts(POOLED_DIGIT_PMF, n=10**4))
-        section = analyze_first_digit(corpus, include_cutoff=True)
+        section = analyze_dimension("first_digit", corpus, include_cutoff=True)
         assert section.cutoff is not None
         assert section.cutoff.upper_cutoff >= section.cutoff.lower_cutoff
 
@@ -98,19 +97,19 @@ class TestFirstDigitSection:
 class TestFrequencySection:
     def test_exact_harmonic_table(self):
         corpus = NumberCorpus("h", (1,) * 12 + (2,) * 6 + (3,) * 4 + (4,) * 3)
-        section = analyze_frequency(corpus)
+        section = analyze_dimension("frequency", corpus)
         fit = section.fits["zipf"]
         assert fit.scores.r_squared == pytest.approx(1.0, abs=1e-9)
         assert fit.model.exponent == pytest.approx(1.0, abs=1e-9)
 
     def test_all_distinct_corpus_flagged_degenerate(self):
-        section = analyze_frequency(NumberCorpus("d", tuple(range(1, 40))))
+        section = analyze_dimension("frequency", NumberCorpus("d", tuple(range(1, 40))))
         assert section.fits["zipf"].model.exponent == pytest.approx(0.0, abs=1e-12)
         assert any("degenerate" in note for note in section.notes)
 
     def test_sampled_corpus_recovers_exponent(self):
         corpus = sample_zipf_values(10**5, alpha=0.75, support_size=200, seed=606)
-        section = analyze_frequency(corpus, include_cutoff=True)
+        section = analyze_dimension("frequency", corpus, include_cutoff=True)
         assert abs(section.fits["zipf"].model.exponent - 0.75) < 0.05
         assert section.cutoff is not None
         assert section.values is not None
@@ -119,7 +118,7 @@ class TestFrequencySection:
 class TestLengthSection:
     def test_pooled_length_data_ranks_full_gamma_first(self):
         corpus = corpus_from_length_counts(rounded_counts(POOLED_LENGTH_PMF))
-        section = analyze_length(corpus)
+        section = analyze_dimension("length", corpus)
         full = section.fits["gamma"].scores.r_squared
         assert full > section.fits["gamma_rate_zero"].scores.r_squared
         assert full > section.fits["zipf"].scores.r_squared
@@ -127,14 +126,14 @@ class TestLengthSection:
 
     def test_uniform_lengths_fit_exactly(self):
         corpus = corpus_from_length_counts([100, 100, 100])
-        section = analyze_length(corpus)
+        section = analyze_dimension("length", corpus)
         fit = section.fits["gamma"]
         assert fit.scores.r_squared == 1.0
         assert fit.model.rate == 0.0
         assert fit.model.shape == pytest.approx(1.0, abs=1e-6)
 
     def test_single_length_produces_underdetermined_section(self):
-        section = analyze_length(NumberCorpus("s", (5, 6, 7, 8)))
+        section = analyze_dimension("length", NumberCorpus("s", (5, 6, 7, 8)))
         assert "gamma" not in section.fits
         assert any("underdetermined" in note for note in section.notes)
         assert section.counts == (4,)

@@ -23,7 +23,7 @@ class BaseEstimator:
         return sorted(
             name
             for name, p in sig.parameters.items()
-            if name != "self" and p.kind != p.VAR_KEYWORD
+            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
         )
 
     def get_params(self, deep=True):

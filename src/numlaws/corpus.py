@@ -1,7 +1,9 @@
 """Integer corpora and the three observed distributions derived from them.
 
 A corpus is an ordered multiset of non-negative integers as printed in the
-source document.  Three views feed the conformity analyses:
+source document, each small enough to convert to a finite float, so that
+every statistic is a number; a larger value is an IngestError.  Three
+views feed the conformity analyses:
 
 - first-digit histogram over 1..9 (zeros carry no leading digit and are
   skipped),
@@ -25,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EmptyCorpusError, EmptyHistogramError
+from .errors import EmptyCorpusError, EmptyHistogramError, IngestError
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,16 @@ class NumberCorpus:
         values = tuple(int(v) for v in self.values)
         if not values:
             raise EmptyCorpusError(f"corpus {self.label!r} has no values")
-        if any(v < 0 for v in values):
+        if min(values) < 0:
             raise ValueError(f"corpus {self.label!r} contains negative values")
+        largest = max(values)
+        try:
+            float(largest)
+        except OverflowError:
+            raise IngestError(
+                f"corpus {self.label!r} holds a {largest.bit_length()}-bit value, "
+                "too large to convert to a float"
+            ) from None
         object.__setattr__(self, "values", values)
 
     def __len__(self):

@@ -14,12 +14,14 @@ exponent alpha rather than 1/alpha):
 
     upper = lower * (n / (n*(upper/lower)**alpha - 1))**alpha
 
-Iteration starts from the largest observed object; the deviation is
-recomputed from the current iterate each round (true fixed-point
-coupling).  The raw Zipf map can oscillate, so the default iteration
-averages each step with the previous iterate; the undamped map stays
-available behind a flag.  Convergence means the relative fixed-point
-residual |map(upper) - upper| / upper fell below the tolerance.
+Both systems run through one iteration from the largest observed object,
+recomputing each step from the current iterate (true fixed-point
+coupling).  A Gamma step applies the deviation/update pair and converges
+when |next - upper| / |next| falls below the tolerance.  The raw Zipf map
+can oscillate, so a Zipf step is the half step toward the map; it
+converges when |map(upper) - upper| / |upper| fell below the tolerance.
+An overflow or a non-finite iterate ends the run with CutoffNumericError,
+which the pipeline notes in the section as ``cutoff failed: ...``.
 """
 
 from __future__ import annotations
@@ -78,6 +80,51 @@ def gamma_update(lower, deviation, n, alpha) -> float:
     return lower * (1.0 + deviation / n) ** (1.0 / alpha)
 
 
+def _iterate(law, step, reported_deviation, n, lower, alpha, upper_init, tol, max_iter):
+    """The fixed-point loop both systems run, from ``upper_init``.
+
+    ``step(upper)`` gives the next iterate and the residual that ends the
+    run as converged below ``tol``; ``reported_deviation(previous, upper)``
+    gives the deviation reported from the last step's start and result.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if _not_positive(lower) or lower > upper_init:
+        raise ValueError("need 0 < lower <= upper_init")
+    if _not_positive(alpha):
+        raise ValueError("alpha must be positive")
+
+    upper = previous = float(upper_init)
+    trace = [upper]
+    converged = False
+    iterations = 0
+    try:
+        for iterations in range(1, max_iter + 1):
+            upper_next, residual = step(upper)
+            if not math.isfinite(upper_next):
+                raise CutoffNumericError(
+                    f"{law} cutoff iteration produced a non-finite value", trace=trace
+                )
+            trace.append(upper_next)
+            previous, upper = upper, upper_next
+            if residual < tol:
+                converged = True
+                break
+        deviation = reported_deviation(previous, upper)
+    except OverflowError as exc:
+        raise CutoffNumericError(
+            f"{law} cutoff iteration overflowed: {exc}", trace=trace
+        ) from exc
+    return CutoffEstimate(
+        lower_cutoff=float(lower),
+        upper_cutoff=upper,
+        deviation=deviation,
+        trace=tuple(trace),
+        converged=converged,
+        iterations=iterations,
+    )
+
+
 def estimate_cutoff_gamma(
     n: int,
     lower: float,
@@ -87,46 +134,23 @@ def estimate_cutoff_gamma(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> CutoffEstimate:
-    """Iterate the Gamma-system deviation/update pair from the observed maximum."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if _not_positive(lower) or lower > upper_init:
-        raise ValueError("need 0 < lower <= upper_init")
-    if _not_positive(alpha):
-        raise ValueError("alpha must be positive")
+    """Iterate the Gamma-system deviation/update pair from the observed maximum.
+
+    The reported deviation is the one that produced the last iterate.
+    """
     if rate < 0:
         raise ValueError("rate must be non-negative")
 
-    upper = float(upper_init)
-    trace = [upper]
-    deviation = gamma_deviation(n, lower, upper, alpha, rate)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        try:
-            deviation = gamma_deviation(n, lower, upper, alpha, rate)
-            upper_next = gamma_update(lower, deviation, n, alpha)
-        except OverflowError as exc:
-            raise CutoffNumericError(
-                f"Gamma cutoff iteration overflowed: {exc}", trace=trace
-            ) from exc
-        if not math.isfinite(upper_next) or not math.isfinite(deviation):
-            raise CutoffNumericError(
-                "Gamma cutoff iteration produced a non-finite value", trace=trace
-            )
-        trace.append(upper_next)
-        if abs(upper_next - upper) / abs(upper_next) < tol:
-            upper = upper_next
-            converged = True
-            break
-        upper = upper_next
-    return CutoffEstimate(
-        lower_cutoff=float(lower),
-        upper_cutoff=upper,
-        deviation=deviation,
-        trace=tuple(trace),
-        converged=converged,
-        iterations=iterations,
+    def step(upper):
+        deviation = gamma_deviation(n, lower, upper, alpha, rate)
+        upper_next = gamma_update(lower, deviation, n, alpha)
+        return upper_next, abs(upper_next - upper) / abs(upper_next)
+
+    def reported_deviation(previous, upper):
+        return gamma_deviation(n, lower, previous, alpha, rate)
+
+    return _iterate(
+        "Gamma", step, reported_deviation, n, lower, alpha, upper_init, tol, max_iter
     )
 
 
@@ -147,42 +171,22 @@ def estimate_cutoff_zipf(
     upper_init: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    damped: bool = True,
 ) -> CutoffEstimate:
-    """Iterate the Zipf-system map, damped by default to suppress oscillation."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if _not_positive(lower) or lower > upper_init:
-        raise ValueError("need 0 < lower <= upper_init")
-    if _not_positive(alpha):
-        raise ValueError("alpha must be positive")
+    """Iterate the Zipf-system map, each step halfway toward the map.
 
-    upper = float(upper_init)
-    trace = [upper]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    The reported deviation is the rate-free Gamma deviation at the last
+    iterate, for reporting symmetry.
+    """
+
+    def step(upper):
         mapped = zipf_update(n, lower, alpha, upper)
-        if not math.isfinite(mapped):
-            raise CutoffNumericError(
-                "Zipf cutoff iteration produced a non-finite value", trace=trace
-            )
-        residual_ok = abs(mapped - upper) / abs(upper) < tol
-        upper_next = 0.5 * (upper + mapped) if damped else mapped
-        trace.append(upper_next)
-        upper = upper_next
-        if residual_ok:
-            converged = True
-            break
-    # final deviation in the rate-free Gamma form, for reporting symmetry
-    deviation = gamma_deviation(n, lower, upper, alpha, 0.0)
-    return CutoffEstimate(
-        lower_cutoff=float(lower),
-        upper_cutoff=upper,
-        deviation=deviation,
-        trace=tuple(trace),
-        converged=converged,
-        iterations=iterations,
+        return 0.5 * (upper + mapped), abs(mapped - upper) / abs(upper)
+
+    def reported_deviation(previous, upper):
+        return gamma_deviation(n, lower, upper, alpha, 0.0)
+
+    return _iterate(
+        "Zipf", step, reported_deviation, n, lower, alpha, upper_init, tol, max_iter
     )
 
 

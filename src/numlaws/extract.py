@@ -56,6 +56,18 @@ class ExtractionRules:
         }
 
 
+def _token_value(digits: str, rules: ExtractionRules) -> int:
+    """The integer a matched digit run prints, its separators stripped."""
+    for sep in rules.thousands_separators:
+        digits = digits.replace(sep, "")
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's integer string conversion limit
+        raise IngestError(
+            f"integer token of {len(digits)} digits cannot be converted"
+        ) from None
+
+
 def iter_integer_tokens(text: str, rules: ExtractionRules | None = None):
     """Yield integer values from ``text`` in document order."""
     rules = rules or ExtractionRules()
@@ -66,11 +78,7 @@ def iter_integer_tokens(text: str, rules: ExtractionRules | None = None):
         end = match.end()
         if end < len(text) and text[end] in rules.footnote_markers:
             continue  # superscript-style footnote annotation
-        digits = match.group(1)
-        for sep in rules.thousands_separators:
-            digits = digits.replace(sep, "")
-        if digits:
-            yield int(digits)
+        yield _token_value(match.group(1), rules)
 
 
 def extract_numbers(
@@ -100,10 +108,7 @@ def parse_cell(cell: str, rules: ExtractionRules | None = None) -> int | None:
     match = rules.token_pattern().fullmatch(cell)
     if match is None or match.group(2) is not None:
         return None
-    digits = match.group(1)
-    for sep in rules.thousands_separators:
-        digits = digits.replace(sep, "")
-    return int(digits) if digits else None
+    return _token_value(match.group(1), rules)
 
 
 def _decode(path: Path) -> str:

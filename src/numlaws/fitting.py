@@ -90,17 +90,9 @@ def _build_result(model, support, observed, curve, iterations) -> FitResult:
     )
 
 
-class BenfordFitter(BaseEstimator):
-    """Score observed first-digit frequencies against the fixed Benford pmf."""
-
-    def fit(self, X, y=None):
-        support, observed = support_frequencies(X)
-        self.model_ = BenfordModel()
-        self.support_ = support
-        self.observed_ = observed
-        self.curve_ = self.model_.weights(support)
-        self.n_iter_ = 0
-        return self
+class _CurveFitter(BaseEstimator):
+    """``predict`` and ``result`` of a fitter whose ``fit`` sets ``model_``,
+    ``support_``, ``observed_``, ``curve_`` and ``n_iter_``."""
 
     def predict(self, support):
         check_is_fitted(self, "model_")
@@ -113,7 +105,20 @@ class BenfordFitter(BaseEstimator):
         )
 
 
-class ZipfFitter(BaseEstimator):
+class BenfordFitter(_CurveFitter):
+    """Score observed first-digit frequencies against the fixed Benford pmf."""
+
+    def fit(self, X, y=None):
+        support, observed = support_frequencies(X)
+        self.model_ = BenfordModel()
+        self.support_ = support
+        self.observed_ = observed
+        self.curve_ = self.model_.weights(support)
+        self.n_iter_ = 0
+        return self
+
+
+class ZipfFitter(_CurveFitter):
     """Power-law fit by OLS in log-log space, scored in linear space."""
 
     def fit(self, X, y=None):
@@ -141,16 +146,6 @@ class ZipfFitter(BaseEstimator):
         self.curve_ = self.model_.weights(support)
         self.n_iter_ = 0
         return self
-
-    def predict(self, support):
-        check_is_fitted(self, "model_")
-        return self.model_.weights(support)
-
-    def result(self) -> FitResult:
-        check_is_fitted(self, "model_")
-        return _build_result(
-            self.model_, self.support_, self.observed_, self.curve_, self.n_iter_
-        )
 
 
 def _gamma_profile(theta, support, observed, log_support):
@@ -194,7 +189,7 @@ def _gamma_start(support, observed, log_support, rate_zero):
     return np.array([math.log(rate), shape])
 
 
-class GammaFitter(BaseEstimator):
+class GammaFitter(_CurveFitter):
     """Three-parameter discrete Gamma fit (or two with the rate pinned to 0).
 
     Variable projection: the amplitude is profiled out exactly, and one
@@ -279,16 +274,6 @@ class GammaFitter(BaseEstimator):
         self.curve_ = curve
         self.n_iter_ = int(evaluations)
         return self
-
-    def predict(self, support):
-        check_is_fitted(self, "model_")
-        return self.model_.weights(support)
-
-    def result(self) -> FitResult:
-        check_is_fitted(self, "model_")
-        return _build_result(
-            self.model_, self.support_, self.observed_, self.curve_, self.n_iter_
-        )
 
 
 def fit_benford(hist: DigitHistogram) -> FitResult:

@@ -117,8 +117,6 @@ DIMENSIONS = {
 class AnalysisConfig:
     analyses: tuple[str, ...] = tuple(DIMENSIONS)
     cutoff: bool = False
-    trend_metric: str = "r_squared"
-    trend_slope_threshold: float = TREND_SLOPE_THRESHOLD
     rules: ExtractionRules = field(default_factory=ExtractionRules)
 
     def __post_init__(self):
@@ -247,19 +245,15 @@ def share_scale_cutoff(system: str, frequencies, total, fit: FitResult):
     lower = float(positive.min())
     upper_init = float(positive.max())
     params = fit.model.params()
+    exponent = "shape" if system == "gamma" else "exponent"
+    alpha = params[exponent]
+    if alpha <= 0:
+        raise NumlawsError(f"non-positive fitted {exponent}; cutoff skipped")
     if system == "gamma":
-        alpha = params["shape"]
-        if alpha <= 0:
-            raise NumlawsError("non-positive fitted shape; cutoff skipped")
         return estimate_cutoff_gamma(
             n=total, lower=lower, alpha=alpha, rate=params["rate"], upper_init=upper_init
         )
-    alpha = params["exponent"]
-    if alpha <= 0:
-        raise NumlawsError("non-positive fitted exponent; cutoff skipped")
-    return estimate_cutoff_zipf(
-        n=total, lower=lower, alpha=alpha, upper_init=upper_init
-    )
+    return estimate_cutoff_zipf(n=total, lower=lower, alpha=alpha, upper_init=upper_init)
 
 
 def analyze_dimension(
@@ -426,11 +420,7 @@ def _collect_trends(analyses, config: AnalysisConfig):
             series = {year: fits[model_name] for year, fits in fits_by_year if model_name in fits}
             if len(series) < 3:
                 continue
-            finding = trend_over_years(
-                series,
-                metric=config.trend_metric,
-                slope_threshold=config.trend_slope_threshold,
-            )
+            finding = trend_over_years(series)
             trends.append(
                 replace(finding, metric=f"{dimension}.{model_name}.{finding.metric}")
             )
@@ -542,7 +532,7 @@ def write_plot_bundles(report: AnalysisReport, out_dir) -> list:
                 path = out_dir / f"{analysis.label}.{dimension}.{model_name}.csv"
                 lines = ["support,observed,fitted,fitted_pmf,abs_gradient"]
                 lines.extend(
-                    ",".join(repr(v) for v in row)
+                    ",".join(repr(float(v)) for v in row)
                     for row in zip(support, fit.observed, curve, normalized, gradient)
                 )
                 path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -124,6 +124,15 @@ class TestAnalyze:
         assert (out_dir / "report.json").exists()
         assert (out_dir / "v.first_digit.benford.csv").exists()
         assert (out_dir / "v.frequency.zipf.csv").exists()
+        for bundle in out_dir.glob("*.csv"):
+            header, *rows = bundle.read_text(encoding="utf-8").splitlines()
+            assert header == "support,observed,fitted,fitted_pmf,abs_gradient"
+            assert rows
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == 5
+                for cell in cells:
+                    float(cell)
 
     def test_year_map_feeds_trends(self, tmp_path, capsys):
         paths = []
@@ -245,6 +254,27 @@ class TestCutoffCommand:
         payload = json.loads(out)
         assert payload["converged"] is True
         assert payload["dimension"] == "frequency"
+
+    def test_overflowing_cutoff_is_an_error_not_a_crash(self, tmp_path, capsys):
+        """The Zipf map overflows on one 3 against 2001 sevens: the cutoff
+        command reports it on exit code 2, and analyze notes it."""
+        corpus_file = tmp_path / "overflow.txt"
+        corpus_file.write_text("3\n" + "7\n" * 2001, encoding="utf-8")
+        code = main(
+            [
+                "cutoff", "--input", str(corpus_file),
+                "--dimension", "frequency", "--system", "zipf",
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "Zipf cutoff iteration overflowed" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        code = main(
+            ["analyze", "--input", str(corpus_file), "--cutoff", "--out-dir", str(out_dir)]
+        )
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert (out_dir / "report.json").is_file()
 
 
 class TestExitCodeContract:

@@ -21,7 +21,7 @@ from numlaws import (
     sample_zipf_values,
 )
 from numlaws.corpus import DigitHistogram, LengthHistogram, RankFrequencyTable
-from numlaws.errors import EmptyCorpusError, EmptyHistogramError
+from numlaws.errors import EmptyCorpusError, EmptyHistogramError, IngestError
 
 
 def make_corpus(values, label="t"):
@@ -36,6 +36,13 @@ class TestNumberCorpus:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             make_corpus([3, -1])
+
+    @pytest.mark.parametrize("value", [10**400, 10**5000], ids=["1e400", "1e5000"])
+    def test_rejects_values_too_large_for_a_float(self, value):
+        """10**400 overflows the mean; 10**5000 also exceeds the digit
+        limit of the str() the digit and length views call."""
+        with pytest.raises(IngestError):
+            make_corpus([1, value])
 
     def test_multiset_semantics_preserved(self):
         corpus = make_corpus([5, 5, 5, 1])

@@ -55,6 +55,13 @@ class TestTextExtraction:
         corpus = extract_numbers("9 then 1 then 5")
         assert corpus.values == (9, 1, 5)
 
+    def test_overlong_token_is_an_ingest_error(self):
+        """5000 digits exceed the interpreter's int() conversion limit."""
+        with pytest.raises(IngestError):
+            extract_numbers("total " + "9" * 5000)
+        with pytest.raises(IngestError):
+            parse_cell("9" * 5000)
+
     def test_no_tokens_raises(self):
         with pytest.raises(EmptyCorpusError):
             extract_numbers("only words, 3.5 decimals")

@@ -363,6 +363,16 @@ class TestEstimatorProtocol:
         with pytest.raises(ValueError):
             fitter.set_params(bogus=1)
 
+    def test_params_and_repr_of_every_fitter(self):
+        """Fitters without their own __init__ have no parameters."""
+        assert BenfordFitter().get_params() == {}
+        assert ZipfFitter().get_params() == {}
+        assert repr(BenfordFitter()) == "BenfordFitter()"
+        assert repr(ZipfFitter()) == "ZipfFitter()"
+        assert repr(GammaFitter(rate_zero=True)) == (
+            "GammaFitter(fatol=1e-12, max_iter=1000, rate_zero=True, xatol=1e-10)"
+        )
+
     def test_predict_before_fit_raises(self):
         for fitter in (BenfordFitter(), ZipfFitter(), GammaFitter()):
             with pytest.raises(NotFittedError):

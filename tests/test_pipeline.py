@@ -2,10 +2,13 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from numlaws import (
     AnalysisConfig,
@@ -26,7 +29,7 @@ from numlaws import (
     trend_over_years,
     write_plot_bundles,
 )
-from numlaws.errors import InsufficientDataError
+from numlaws.errors import InsufficientDataError, NumlawsError
 
 def load_report_schema():
     """The schema ships as package data; load it the way a consumer would."""
@@ -257,12 +260,19 @@ class TestBuildReport:
         assert "gamma" not in sections["length"].fits
 
     def test_cutoff_overflow_is_noted_in_its_section(self):
-        """Length counts 165/69/66 fit a shape near 6e-4; the Gamma cutoff
-        update then overflows, which fails that cutoff, not the report."""
-        values = (0,) * 80 + (1,) * 85 + (10,) * 69 + (100,) * 66
-        report = build_report(NumberCorpus("overflow", values), AnalysisConfig(cutoff=True))
-        notes = report.corpora[0].sections["length"].notes
-        assert any(note.startswith("cutoff failed") for note in notes)
+        """Length counts 165/69/66 fit a shape near 6e-4, and one value
+        against 2001 repeats fits a rank exponent near 11; the Gamma
+        update and the Zipf map then overflow, which fails that cutoff,
+        not the report."""
+        for values, dimension, prefix in [
+            ((0,) * 80 + (1,) * 85 + (10,) * 69 + (100,) * 66, "length", "cutoff failed"),
+            ((3,) + (7,) * 2001, "frequency",
+             "cutoff failed: Zipf cutoff iteration overflowed"),
+        ]:
+            corpus = NumberCorpus("overflow", values)
+            report = build_report(corpus, AnalysisConfig(cutoff=True))
+            notes = report.corpora[0].sections[dimension].notes
+            assert any(note.startswith(prefix) for note in notes)
 
     def test_spread_out_digits_still_give_a_report(self):
         """Seven integers of 4 to 16 digits leave five sparse digit bins,
@@ -342,3 +352,29 @@ class TestBuildReport:
         assert "demo.length.gamma_rate_zero.csv" in names
         body = (tmp_path / "demo.frequency.zipf.csv").read_text(encoding="utf-8")
         assert body.splitlines()[0] == "support,observed,fitted,fitted_pmf,abs_gradient"
+
+
+REPORT_SECONDS = 5.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=10**15),
+        st.integers(min_value=1, max_value=3000),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example({3: 1, 7: 2001})
+def test_report_or_typed_error_within_time_bound(value_counts):
+    """Any corpus of up to eight distinct values gives a cutoff report
+    that serializes, or a NumlawsError, within the time bound."""
+    values = [value for value, count in value_counts.items() for _ in range(count)]
+    corpus = NumberCorpus("drawn", values)
+    started = time.perf_counter()
+    try:
+        report_to_json(build_report(corpus, AnalysisConfig(cutoff=True)))
+    except NumlawsError:
+        pass
+    assert time.perf_counter() - started < REPORT_SECONDS

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -128,41 +129,46 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# the flags each synth model takes, by argparse destination, each with the
+# least value it accepts (None: any value)
+_SYNTH_FLAGS = {
+    "benford": {},
+    "zipf": {"alpha": 0, "support_size": 2},
+    "gamma": {"rate": 0, "shape": None, "max_length": 1},
+}
+
+
+def _flag_list(names) -> str:
+    """``--a``, ``--a and --b`` or ``--a, --b and --c``."""
+    flags = ["--" + name.replace("_", "-") for name in names]
+    if len(flags) == 1:
+        return flags[0]
+    return ", ".join(flags[:-1]) + " and " + flags[-1]
+
+
 def _synth_params(args):
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be a non-negative integer")
-    if args.model == "benford":
-        disallowed = [
-            name
-            for name, value in (
-                ("--alpha", args.alpha),
-                ("--support-size", args.support_size),
-                ("--rate", args.rate),
-                ("--shape", args.shape),
-                ("--max-length", args.max_length),
-            )
-            if value is not None
-        ]
-        if disallowed:
-            raise UsageError(f"benford model takes no {', '.join(disallowed)}")
-        return {}
-    if args.model == "zipf":
-        if args.alpha is None or args.support_size is None:
-            raise UsageError("zipf model needs --alpha and --support-size")
-        if args.alpha < 0:
-            raise UsageError("--alpha must be >= 0")
-        if args.support_size < 2:
-            raise UsageError("--support-size must be >= 2")
-        return {"alpha": args.alpha, "support_size": args.support_size}
-    if args.rate is None or args.shape is None or args.max_length is None:
-        raise UsageError("gamma model needs --rate, --shape and --max-length")
-    if args.rate < 0:
-        raise UsageError("--rate must be >= 0")
-    if args.max_length < 1:
-        raise UsageError("--max-length must be >= 1")
-    return {"rate": args.rate, "shape": args.shape, "max_length": args.max_length}
+    takes = _SYNTH_FLAGS[args.model]
+    foreign = [
+        name
+        for flags in _SYNTH_FLAGS.values()
+        for name in flags
+        if name not in takes and getattr(args, name) is not None
+    ]
+    if foreign:
+        raise UsageError(f"{args.model} model takes no {_flag_list(foreign)}")
+    params = {name: getattr(args, name) for name in takes}
+    if None in params.values():
+        raise UsageError(f"{args.model} model needs {_flag_list(takes)}")
+    for name, least in takes.items():
+        if not math.isfinite(params[name]):
+            raise UsageError(f"{_flag_list([name])} must be a finite number")
+        if least is not None and params[name] < least:
+            raise UsageError(f"{_flag_list([name])} must be >= {least}")
+    return params
 
 
 def cmd_synth(args) -> int:
@@ -195,12 +201,9 @@ def cmd_synth(args) -> int:
 def cmd_cutoff(args) -> int:
     corpus = _load_corpus(args.input, args.csv_column, ExtractionRules())
     dimension = _dimension_name(args.dimension)
-    hist = DIMENSIONS[dimension].view.from_corpus(corpus)
-    if args.system == "zipf":
-        fit = fit_zipf(hist)
-    else:
-        fit = fit_gamma(hist)
-    estimate = share_scale_cutoff(args.system, hist.frequencies, hist.total, fit)
+    view = DIMENSIONS[dimension].view.from_corpus(corpus)
+    fit = fit_zipf(view) if args.system == "zipf" else fit_gamma(view)
+    estimate = share_scale_cutoff(view, fit)
     payload = estimate.to_dict()
     payload["dimension"] = dimension
     payload["system"] = args.system

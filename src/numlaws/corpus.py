@@ -39,7 +39,7 @@ class NumberCorpus:
     year: int | None = None
 
     def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
+        values = tuple(map(int, self.values))
         if not values:
             raise EmptyCorpusError(f"corpus {self.label!r} has no values")
         if min(values) < 0:

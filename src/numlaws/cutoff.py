@@ -20,8 +20,11 @@ coupling).  A Gamma step applies the deviation/update pair and converges
 when |next - upper| / |next| falls below the tolerance.  The raw Zipf map
 can oscillate, so a Zipf step is the half step toward the map; it
 converges when |map(upper) - upper| / |upper| fell below the tolerance.
-An overflow or a non-finite iterate ends the run with CutoffNumericError,
-which the pipeline notes in the section as ``cutoff failed: ...``.
+The tolerance is ``DEFAULT_TOL`` (1e-9); a run that has not converged
+after ``DEFAULT_MAX_ITER`` (10,000) steps stops and reports
+``converged`` false.  An overflow or a non-finite iterate ends the run
+with CutoffNumericError, which the pipeline notes in the section as
+``cutoff failed: ...``.
 """
 
 from __future__ import annotations
@@ -80,11 +83,12 @@ def gamma_update(lower, deviation, n, alpha) -> float:
     return lower * (1.0 + deviation / n) ** (1.0 / alpha)
 
 
-def _iterate(law, step, reported_deviation, n, lower, alpha, upper_init, tol, max_iter):
+def _iterate(law, step, reported_deviation, n, lower, alpha, upper_init):
     """The fixed-point loop both systems run, from ``upper_init``.
 
     ``step(upper)`` gives the next iterate and the residual that ends the
-    run as converged below ``tol``; ``reported_deviation(previous, upper)``
+    run as converged below ``DEFAULT_TOL``; the run stops unconverged after
+    ``DEFAULT_MAX_ITER`` steps.  ``reported_deviation(previous, upper)``
     gives the deviation reported from the last step's start and result.
     """
     if n < 1:
@@ -97,9 +101,8 @@ def _iterate(law, step, reported_deviation, n, lower, alpha, upper_init, tol, ma
     upper = previous = float(upper_init)
     trace = [upper]
     converged = False
-    iterations = 0
     try:
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, DEFAULT_MAX_ITER + 1):
             upper_next, residual = step(upper)
             if not math.isfinite(upper_next):
                 raise CutoffNumericError(
@@ -107,7 +110,7 @@ def _iterate(law, step, reported_deviation, n, lower, alpha, upper_init, tol, ma
                 )
             trace.append(upper_next)
             previous, upper = upper, upper_next
-            if residual < tol:
+            if residual < DEFAULT_TOL:
                 converged = True
                 break
         deviation = reported_deviation(previous, upper)
@@ -131,8 +134,6 @@ def estimate_cutoff_gamma(
     alpha: float,
     rate: float,
     upper_init: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> CutoffEstimate:
     """Iterate the Gamma-system deviation/update pair from the observed maximum.
 
@@ -149,9 +150,7 @@ def estimate_cutoff_gamma(
     def reported_deviation(previous, upper):
         return gamma_deviation(n, lower, previous, alpha, rate)
 
-    return _iterate(
-        "Gamma", step, reported_deviation, n, lower, alpha, upper_init, tol, max_iter
-    )
+    return _iterate("Gamma", step, reported_deviation, n, lower, alpha, upper_init)
 
 
 def zipf_update(n, lower, alpha, upper) -> float:
@@ -169,8 +168,6 @@ def estimate_cutoff_zipf(
     lower: float,
     alpha: float,
     upper_init: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> CutoffEstimate:
     """Iterate the Zipf-system map, each step halfway toward the map.
 
@@ -185,9 +182,7 @@ def estimate_cutoff_zipf(
     def reported_deviation(previous, upper):
         return gamma_deviation(n, lower, upper, alpha, 0.0)
 
-    return _iterate(
-        "Zipf", step, reported_deviation, n, lower, alpha, upper_init, tol, max_iter
-    )
+    return _iterate("Zipf", step, reported_deviation, n, lower, alpha, upper_init)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ class DegenerateDataError(NumlawsError):
     """Observed data carries no usable signal for the requested metric."""
 
 
-class InfiniteDivergenceError(NumlawsError):
-    """KL divergence is infinite and smoothing was disabled."""
-
-
 class DegenerateModelError(NumlawsError):
     """A model assigns zero or non-finite total mass to its support."""
 

@@ -10,7 +10,10 @@ Filtering rules, applied mechanically and deterministically:
   superscripted-annotation style) is dropped,
 - parenthesized accounting negatives contribute their absolute value; a
   leading minus sign is likewise ignored (magnitudes are what the digit
-  laws describe).
+  laws describe),
+- every other digit run is a token, whatever surrounds it: a date
+  "2019-12-31" gives 2019, 12 and 31, a fiscal tag "FY2019" gives 2019,
+  and note numbers count like any other number.
 """
 
 from __future__ import annotations
@@ -41,13 +44,15 @@ class ExtractionRules:
     footnote_markers: str = _DEFAULT_MARKERS
 
     def token_pattern(self) -> re.Pattern:
-        seps = re.escape(self.thousands_separators)
-        # no digit or dot directly before the token: "1.2.3" must not leak "3";
         # a separator joins only a group of exactly three digits, so "1,2,3"
-        # and "12,34" stay separate numbers
-        return re.compile(
-            rf"(?<![0-9.])([0-9]+(?:[{seps}][0-9]{{3}}(?![0-9]))*)(\.[0-9]+)?"
-        )
+        # and "12,34" stay separate numbers; with no separators there is no
+        # group, since an empty class "[]" would swallow the "]" after it
+        groups = ""
+        if self.thousands_separators:
+            seps = re.escape(self.thousands_separators)
+            groups = rf"(?:[{seps}][0-9]{{3}}(?![0-9]))*"
+        # no digit or dot directly before the token: "1.2.3" must not leak "3"
+        return re.compile(rf"(?<![0-9.])([0-9]+{groups})(\.[0-9]+)?")
 
     def to_dict(self):
         return {

@@ -46,6 +46,11 @@ _RATE_FLOOR = 1e-12
 _LOG_RATE_MAX = 700.0
 # rate start when the closed-form slope shows no decay
 _RATE_START = 1e-3
+# each Levenberg-Marquardt run: its bound on function evaluations, its step
+# tolerance, and its relative-reduction and gradient tolerance
+_MAX_EVALUATIONS = 1000
+_XTOL = 1e-10
+_FTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,28 @@ def _gamma_start(support, observed, log_support, rate_zero):
     return np.array([math.log(rate), shape])
 
 
+def _gamma_refine(support, observed, log_support, rate_zero):
+    """One Levenberg-Marquardt run from the closed-form start."""
+    result = least_squares(
+        lambda theta: _gamma_profile(theta, support, observed, log_support)[0],
+        _gamma_start(support, observed, log_support, rate_zero),
+        method="lm",
+        # a fixed trust region: scaling by the Jacobian lets one step
+        # at a tiny rate move the log-rate by hundreds
+        x_scale=1.0,
+        xtol=_XTOL,
+        ftol=_FTOL,
+        gtol=_FTOL,
+        max_nfev=_MAX_EVALUATIONS,
+    )
+    if result.status == 0:
+        raise FitFailureError(
+            f"Gamma optimizer did not converge in {_MAX_EVALUATIONS} evaluations",
+            best_params=tuple(result.x),
+        )
+    return result
+
+
 class GammaFitter(_CurveFitter):
     """Three-parameter discrete Gamma fit (or two with the rate pinned to 0).
 
@@ -197,37 +224,14 @@ class GammaFitter(_CurveFitter):
     least-squares start in log space.  The full fit also runs the nested
     rate-zero fit and returns whichever has the lower squared error,
     preferring rate zero on a tie or when the fitted rate is below 1e-12.
-    ``max_iter`` bounds the function evaluations of each run, ``xatol``
-    is its step tolerance and ``fatol`` its relative-reduction and
-    gradient tolerance.  The path is deterministic, so identical inputs
-    give bit-identical results.
+    Each run stops after ``_MAX_EVALUATIONS`` (1000) function evaluations,
+    or on its step tolerance ``_XTOL`` (1e-10) or its relative-reduction
+    and gradient tolerance ``_FTOL`` (1e-12).  The path is deterministic,
+    so identical inputs give bit-identical results.
     """
 
-    def __init__(self, rate_zero=False, max_iter=1000, xatol=1e-10, fatol=1e-12):
+    def __init__(self, rate_zero=False):
         self.rate_zero = rate_zero
-        self.max_iter = max_iter
-        self.xatol = xatol
-        self.fatol = fatol
-
-    def _refine(self, support, observed, log_support, rate_zero):
-        result = least_squares(
-            lambda theta: _gamma_profile(theta, support, observed, log_support)[0],
-            _gamma_start(support, observed, log_support, rate_zero),
-            method="lm",
-            # a fixed trust region: scaling by the Jacobian lets one step
-            # at a tiny rate move the log-rate by hundreds
-            x_scale=1.0,
-            xtol=self.xatol,
-            ftol=self.fatol,
-            gtol=self.fatol,
-            max_nfev=self.max_iter,
-        )
-        if result.status == 0:
-            raise FitFailureError(
-                f"Gamma optimizer did not converge in {self.max_iter} evaluations",
-                best_params=tuple(result.x),
-            )
-        return result
 
     def fit(self, X, y=None):
         support, observed = support_frequencies(X)
@@ -238,10 +242,10 @@ class GammaFitter(_CurveFitter):
                 "Gamma fit needs at least 3 positive-frequency support points"
             )
         log_support = np.log(support)
-        best = self._refine(support, observed, log_support, rate_zero=True)
+        best = _gamma_refine(support, observed, log_support, rate_zero=True)
         rate, evaluations = 0.0, best.nfev
         if not self.rate_zero:
-            full = self._refine(support, observed, log_support, rate_zero=False)
+            full = _gamma_refine(support, observed, log_support, rate_zero=False)
             evaluations += full.nfev
             full_rate = math.exp(min(full.x[0], _LOG_RATE_MAX))
             # below the floor the full fit is the nested one up to round-off

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InfiniteDivergenceError
+from .errors import DegenerateDataError
 from .validation import as_float_array, check_equal_length, check_pmf
 
 R2_STRONG = 0.9
@@ -51,24 +51,19 @@ def r_squared(observed, fitted) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def kl_divergence(p, q, smooth: bool = True) -> float:
+def kl_divergence(p, q) -> float:
     """KL(p || q) in natural log with the 0*log(0/q) = 0 convention.
 
     Zero fitted mass under positive observed mass would be an infinite
-    divergence; the fitted pmf is then smoothed additively
-    (epsilon = 1e-10, renormalized) so degenerate fits cannot silently
-    produce infinities, or InfiniteDivergenceError is raised with
-    ``smooth=False``.  Smoothing never triggers otherwise, so
+    divergence; the fitted pmf is then smoothed additively by
+    ``KL_SMOOTH_EPSILON`` (1e-10) and renormalized, so degenerate fits
+    cannot produce infinities.  Smoothing never triggers otherwise, so
     KL(p, p) is exactly zero for every pmf.
     """
     p = check_pmf(p, "observed pmf")
     q = check_pmf(q, "fitted pmf")
     check_equal_length(p, q)
     if np.any((q == 0.0) & (p > 0.0)):
-        if not smooth:
-            raise InfiniteDivergenceError(
-                "fitted pmf has zero mass where observed mass is positive"
-            )
         q = q + KL_SMOOTH_EPSILON
         q = q / q.sum()
     mask = p > 0.0

@@ -233,27 +233,30 @@ class AnalysisReport:
         }
 
 
-def share_scale_cutoff(system: str, frequencies, total, fit: FitResult):
-    """Run a cutoff iteration on the relative-frequency scale.
+def share_scale_cutoff(view, fit: FitResult):
+    """Run a cutoff iteration on the view's relative-frequency scale.
 
-    Uses the fitted shape (Gamma system) or rank exponent (Zipf system)
-    as the iteration's scaling exponent; skipped when that exponent is
-    not positive.
+    The system is the fit's law: a Gamma fit's shape and rate drive the
+    Gamma system, a Zipf fit's rank exponent the Zipf system.  Skipped
+    when that exponent is not positive.
     """
-    freqs = np.asarray(frequencies, dtype=float)
+    law = fit.model.name
+    if law not in ("gamma", "zipf"):
+        raise TypeError(f"share_scale_cutoff expects a Gamma or Zipf fit, not {law}")
+    freqs = np.asarray(view.frequencies, dtype=float)
     positive = freqs[freqs > 0]
     lower = float(positive.min())
     upper_init = float(positive.max())
     params = fit.model.params()
-    exponent = "shape" if system == "gamma" else "exponent"
+    exponent = "shape" if law == "gamma" else "exponent"
     alpha = params[exponent]
     if alpha <= 0:
         raise NumlawsError(f"non-positive fitted {exponent}; cutoff skipped")
-    if system == "gamma":
+    if law == "gamma":
         return estimate_cutoff_gamma(
-            n=total, lower=lower, alpha=alpha, rate=params["rate"], upper_init=upper_init
+            n=view.total, lower=lower, alpha=alpha, rate=params["rate"], upper_init=upper_init
         )
-    return estimate_cutoff_zipf(n=total, lower=lower, alpha=alpha, upper_init=upper_init)
+    return estimate_cutoff_zipf(n=view.total, lower=lower, alpha=alpha, upper_init=upper_init)
 
 
 def analyze_dimension(
@@ -280,9 +283,7 @@ def analyze_dimension(
     cutoff = None
     if include_cutoff and spec.cutoff_law in fits:
         try:
-            cutoff = share_scale_cutoff(
-                spec.cutoff_law, view.frequencies, view.total, fits[spec.cutoff_law]
-            )
+            cutoff = share_scale_cutoff(view, fits[spec.cutoff_law])
         except NumlawsError as exc:
             notes.append(f"cutoff failed: {exc}")
     candidates = [name for name, _, _ in spec.fits if name in fits]
@@ -335,22 +336,18 @@ def curve_compare(fit_a: FitResult, fit_b: FitResult) -> ComparisonSeries:
     )
 
 
-def trend_over_years(
-    values_by_year,
-    metric: str = "r_squared",
-    slope_threshold: float = TREND_SLOPE_THRESHOLD,
-) -> TrendFinding:
-    """Least-squares slope of a conformity metric over calendar years.
+def trend_over_years(values_by_year) -> TrendFinding:
+    """Least-squares slope of R^2 over calendar years.
 
     ``values_by_year`` maps year to either a plain number or a FitResult
-    (the metric is then read off its scores).  At least 3 distinct years
-    are required; the flag raises when the slope drops below the
-    threshold (default -0.02 per year).
+    (its R^2 is then read off its scores).  At least 3 distinct years
+    are required; the flag raises when the slope drops below
+    ``TREND_SLOPE_THRESHOLD`` (-0.02 per year).
     """
     points = {}
     for year, value in values_by_year.items():
         if isinstance(value, FitResult):
-            value = getattr(value.scores, metric)
+            value = value.scores.r_squared
         points[int(year)] = float(value)
     if len(points) < 3:
         raise InsufficientDataError(
@@ -363,11 +360,11 @@ def trend_over_years(
     xc = x - x.mean()
     slope = float(xc @ (y - y.mean())) / float(xc @ xc)
     return TrendFinding(
-        metric=metric,
+        metric="r_squared",
         years=tuple(years),
         values=tuple(values),
         slope=slope,
-        flagged=slope < slope_threshold,
+        flagged=slope < TREND_SLOPE_THRESHOLD,
     )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from numlaws.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from numlaws.pipeline import DIMENSIONS
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -231,6 +232,54 @@ class TestSynth:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # one flag of another model for each model
+            (["benford", "--max-length", "3"], "benford model takes no --max-length"),
+            (
+                ["zipf", "--alpha", "1", "--support-size", "10", "--rate", "3"],
+                "zipf model takes no --rate",
+            ),
+            (
+                ["gamma", "--rate", "1", "--shape", "2", "--max-length", "9", "--alpha", "3"],
+                "gamma model takes no --alpha",
+            ),
+            # value and missing-flag checks
+            (["benford", "--n", "0"], "--n must be >= 1"),
+            (["benford", "--seed", "-1"], "--seed must be a non-negative integer"),
+            (["zipf", "--alpha", "1", "--support-size", "1"], "--support-size must be >= 2"),
+            (
+                ["gamma", "--rate", "-1", "--shape", "2", "--max-length", "9"],
+                "--rate must be >= 0",
+            ),
+            (
+                ["gamma", "--rate", "1", "--shape", "2", "--max-length", "0"],
+                "--max-length must be >= 1",
+            ),
+            (["zipf", "--alpha", "1"], "zipf model needs --alpha and --support-size"),
+            (["zipf", "--alpha", "nan", "--support-size", "10"], "--alpha must be a finite number"),
+            (
+                ["gamma", "--rate", "1", "--shape", "inf", "--max-length", "9"],
+                "--shape must be a finite number",
+            ),
+        ],
+        ids=[
+            "benford-max-length", "zipf-rate", "gamma-alpha", "n-0", "seed-negative",
+            "support-size-1", "rate-negative", "max-length-0", "zipf-no-support-size",
+            "alpha-nan", "shape-inf",
+        ],
+    )
+    def test_usage_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "s.txt"
+        model, *flags = args
+        code = main(
+            ["synth", "--model", model, "--n", "10", "--seed", "1", "--output", str(out), *flags]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
 
 class TestCutoffCommand:
     def test_frequency_cutoff_json(self, tmp_path, capsys):
@@ -275,6 +324,36 @@ class TestCutoffCommand:
         capsys.readouterr()
         assert code == EXIT_OK
         assert (out_dir / "report.json").is_file()
+
+    @pytest.mark.parametrize("fixture", ["sample_corpus.txt", "statement_fixture.txt"])
+    def test_agrees_with_the_report(self, tmp_path, capsys, fixture):
+        """Run with each dimension's cutoff law, the command gives the
+        report's estimate where it has one, and the error the report
+        notes where the cutoff failed."""
+        path = str(DATA_DIR / fixture)
+        code = main(["analyze", "--input", path, "--cutoff", "--out-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        sections = json.loads((tmp_path / "report.json").read_text())["corpora"][0]["sections"]
+        outcomes = set()
+        for dimension, spec in DIMENSIONS.items():
+            section = sections[dimension]
+            code = main(
+                ["cutoff", "--input", path, "--dimension", dimension, "--system", spec.cutoff_law]
+            )
+            out, err = capsys.readouterr()
+            if section["cutoff"] is not None:
+                outcomes.add("estimate")
+                assert code == EXIT_OK
+                payload = json.loads(out)
+                for key, value in section["cutoff"].items():
+                    assert payload[key] == value, (dimension, key)
+            else:
+                outcomes.add("error")
+                (note,) = [n for n in section["notes"] if n.startswith("cutoff failed: ")]
+                assert code == EXIT_INPUT
+                assert err == f"error: {note.removeprefix('cutoff failed: ')}\n"
+        assert outcomes == {"estimate", "error"}
 
 
 class TestExitCodeContract:

@@ -7,23 +7,27 @@ import pytest
 from scipy.optimize import brentq
 
 from numlaws import (
+    DigitHistogram,
     LengthHistogram,
     NumberCorpus,
     cutoff_report,
     estimate_cutoff_gamma,
     estimate_cutoff_zipf,
+    fit_benford,
     fit_gamma,
+    fit_zipf,
     rank_frequency,
     sample_gamma_lengths,
 )
 from numlaws.cutoff import (
+    DEFAULT_MAX_ITER,
     REFERENCE_BOUNDARY_SHARES,
     gamma_deviation,
     gamma_update,
     zipf_update,
 )
 from numlaws.errors import CutoffDomainError, CutoffNumericError
-from numlaws.pipeline import DIMENSIONS
+from numlaws.pipeline import DIMENSIONS, share_scale_cutoff
 
 
 class TestGammaUpdateMap:
@@ -106,11 +110,11 @@ class TestGammaCutoffIteration:
         """A very large rate makes the update pair an exact 2-cycle between
         the lower cutoff and its doubled bracket; reported honestly."""
         estimate = estimate_cutoff_gamma(
-            n=1000, lower=2.0, alpha=1.0, rate=100.0, upper_init=50.0, max_iter=500
+            n=1000, lower=2.0, alpha=1.0, rate=100.0, upper_init=50.0
         )
         assert not estimate.converged
-        assert estimate.iterations == 500
-        assert len(estimate.trace) == 501
+        assert estimate.iterations == DEFAULT_MAX_ITER
+        assert len(estimate.trace) == DEFAULT_MAX_ITER + 1
 
     def test_non_finite_iterate_raises_with_trace(self):
         with pytest.raises(CutoffNumericError) as excinfo:
@@ -210,6 +214,26 @@ class TestSystemAgreement:
             assert g.converged and z.converged
             assert lower <= g.upper_cutoff <= hi
             assert lower <= z.upper_cutoff <= hi
+
+
+class TestShareScaleCutoff:
+    def test_system_is_read_from_the_fit(self):
+        """On one rank table a Zipf fit runs the Zipf system and a Gamma
+        fit the Gamma system, each on the table's share scale; a Benford
+        fit has no cutoff system."""
+        corpus = sample_zipf_values_cached(0)
+        table = rank_frequency(corpus)
+        lower, upper = float(min(table.frequencies)), float(max(table.frequencies))
+        zipf, gamma = fit_zipf(table), fit_gamma(table)
+        assert share_scale_cutoff(table, zipf) == estimate_cutoff_zipf(
+            n=table.total, lower=lower, alpha=zipf.model.exponent, upper_init=upper
+        )
+        assert share_scale_cutoff(table, gamma) == estimate_cutoff_gamma(
+            n=table.total, lower=lower, alpha=gamma.model.shape, rate=gamma.model.rate,
+            upper_init=upper,
+        )
+        with pytest.raises(TypeError):
+            share_scale_cutoff(table, fit_benford(DigitHistogram.from_corpus(corpus)))
 
 
 def frequency_share(table):

@@ -9,6 +9,7 @@ from numlaws.errors import EmptyCorpusError, IngestError
 from numlaws.extract import parse_cell
 
 DATA_DIR = Path(__file__).parent / "data"
+NO_SEPARATORS = ExtractionRules(thousands_separators="")
 
 # hand tokenization of tests/data/statement_fixture.txt, in document order
 FIXTURE_EXPECTED = [
@@ -85,10 +86,16 @@ class TestTextExtraction:
             ("1,2345", (1, 2345)),
             ("1,234,567 and 12\u2009345", (1234567, 12345)),
             ("(1,250)", (1250,)),
+            # dates and fiscal tags are digit runs like any other
+            ("2019-12-31", (2019, 12, 31)),
+            ("FY2019", (2019,)),
+            # (text, rules): with no separators a bracket is not one
+            (("x 1]23 y", NO_SEPARATORS), (1, 23)),
         ],
     )
     def test_separator_joins_only_three_digit_groups(self, text, expected):
-        assert extract_numbers(text).values == expected
+        text, rules = text if isinstance(text, tuple) else (text, None)
+        assert extract_numbers(text, rules).values == expected
 
     def test_custom_marker_rules(self):
         rules = ExtractionRules(footnote_markers="#")
@@ -112,10 +119,13 @@ class TestParseCell:
             ("3.14", None),
             ("n/a", None),
             ("", None),
+            # (cell, rules)
+            (("1]23", NO_SEPARATORS), None),
         ],
     )
     def test_cells(self, cell, expected):
-        assert parse_cell(cell) == expected
+        cell, rules = cell if isinstance(cell, tuple) else (cell, None)
+        assert parse_cell(cell, rules) == expected
 
 
 class TestFileIngestion:

@@ -32,6 +32,7 @@ from numlaws.errors import (
     NumlawsError,
     UnderdeterminedFitError,
 )
+from numlaws import fitting
 from numlaws.fitting import _gamma_profile, _gamma_start
 from numlaws.laws import GammaModel, ZipfModel
 
@@ -186,11 +187,12 @@ class TestGammaFit:
         with pytest.raises(UnderdeterminedFitError):
             fit_gamma((np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.1, 0.0])))
 
-    def test_iteration_starvation_raises_with_best_params(self):
+    def test_iteration_starvation_raises_with_best_params(self, monkeypatch):
         xs = np.arange(1, 10, dtype=float)
         freqs = np.asarray(exact_histogram(GammaModel(*POOLED_DIGIT_PARAMS), xs).frequencies)
+        monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 2)
         with pytest.raises(FitFailureError) as excinfo:
-            GammaFitter(max_iter=2).fit((xs, freqs))
+            GammaFitter().fit((xs, freqs))
         assert excinfo.value.best_params is not None
 
     def test_overflowing_curve_raises(self):
@@ -355,11 +357,11 @@ class TestFitResultContract:
 
 class TestEstimatorProtocol:
     def test_get_set_params_round_trip(self):
-        fitter = GammaFitter(rate_zero=True, max_iter=500)
-        params = fitter.get_params()
-        assert params["rate_zero"] is True and params["max_iter"] == 500
-        fitter.set_params(max_iter=1000)
-        assert fitter.max_iter == 1000
+        fitter = GammaFitter(rate_zero=True)
+        assert fitter.get_params() == {"rate_zero": True}
+        fitter.set_params(rate_zero=False)
+        assert fitter.rate_zero is False
+        assert GammaFitter().get_params() == {"rate_zero": False}
         with pytest.raises(ValueError):
             fitter.set_params(bogus=1)
 
@@ -370,7 +372,7 @@ class TestEstimatorProtocol:
         assert repr(BenfordFitter()) == "BenfordFitter()"
         assert repr(ZipfFitter()) == "ZipfFitter()"
         assert repr(GammaFitter(rate_zero=True)) == (
-            "GammaFitter(fatol=1e-12, max_iter=1000, rate_zero=True, xatol=1e-10)"
+            "GammaFitter(rate_zero=True)"
         )
 
     def test_predict_before_fit_raises(self):
@@ -387,7 +389,7 @@ class TestEstimatorProtocol:
 
     def test_sklearn_clone_compatibility(self):
         sklearn_base = pytest.importorskip("sklearn.base")
-        fitter = GammaFitter(rate_zero=True, xatol=1e-10)
+        fitter = GammaFitter(rate_zero=True)
         cloned = sklearn_base.clone(fitter)
         assert cloned.get_params() == fitter.get_params()
         assert cloned is not fitter

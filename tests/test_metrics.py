@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from numlaws import classify_fit, js_divergence, kl_divergence, mape, r_squared
-from numlaws.errors import DegenerateDataError, InfiniteDivergenceError
+from numlaws.errors import DegenerateDataError
 from numlaws.metrics import MetricScores, score_fit
 
 
@@ -84,10 +84,6 @@ class TestKL:
     def test_identity_exact_even_with_zero_entries(self):
         p = np.array([0.5, 0.0, 0.5])
         assert kl_divergence(p, p) == 0.0
-
-    def test_zero_fitted_mass_without_smoothing(self):
-        with pytest.raises(InfiniteDivergenceError):
-            kl_divergence([0.5, 0.5], [1.0, 0.0], smooth=False)
 
     def test_not_a_pmf_rejected(self):
         with pytest.raises(ValueError):

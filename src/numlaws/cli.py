@@ -1,9 +1,9 @@
 """Command-line surface: stats, analyze, synth and cutoff subcommands.
 
 Exit codes: 0 on success (including failing conformity verdicts, which
-are data news rather than tool failure), 2 on input/ingest errors, 64 on
-usage errors.  Human-readable summaries round to 5 significant digits;
-JSON output keeps full precision.
+are data news rather than tool failure), 2 on input/ingest errors and on
+analyze outputs that cannot be written, 64 on usage errors.  Human-readable
+summaries round to 5 significant digits; JSON output keeps full precision.
 """
 
 from __future__ import annotations
@@ -92,6 +92,14 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     year_map = _parse_year_map(args.year_map)
+    # a corpus is labelled by its file stem, which names its plot bundles
+    stems = [Path(path).stem for path in args.input]
+    for stem in stems:
+        if stems.count(stem) > 1:
+            raise UsageError(f"two inputs share the corpus label {stem!r}")
+    for key in year_map:
+        if key not in stems and key not in (Path(path).name for path in args.input):
+            raise UsageError(f"--year-map names no input: {key!r}")
     corpora = []
     names = []
     for path in args.input:
@@ -102,14 +110,18 @@ def cmd_analyze(args) -> int:
     report = build_report(corpora, config, inputs=names)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if args.format in ("json", "both"):
-        report_path = out_dir / "report.json"
-        report_path.write_text(report_to_json(report), encoding="utf-8")
-        written.append(report_path)
-    if args.format in ("csv", "both"):
-        written.extend(write_plot_bundles(report, out_dir))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.format in ("json", "both"):
+            report_path = out_dir / "report.json"
+            report_path.write_text(report_to_json(report), encoding="utf-8")
+            written.append(report_path)
+        if args.format in ("csv", "both"):
+            written.extend(write_plot_bundles(report, out_dir))
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     for analysis in report.corpora:
         for dimension in sorted(analysis.sections):

@@ -1,41 +1,39 @@
-"""Upper-cutoff estimation for scaling systems by fixed-point iteration.
+"""Upper-cutoff estimation for scaling systems as the root of a monotone equation.
 
 Finite samples of scaling systems under-sample their own tails; the
-implied empirical deviation lets one iterate toward the largest object
-size the system could support.  Two update systems are provided:
+implied empirical deviation bounds the largest object size the system
+could support.  Two maps give the next upper cutoff from the current one:
 
 Gamma system (alpha is the fitted shape, rate the fitted decay):
 
     deviation = n * (lower/upper)**(1/alpha) * exp(rate*(lower - upper))
-    upper     = lower * (1 + deviation/n)**(1/alpha)
+    map(upper) = lower * (1 + deviation/n)**(1/alpha)
 
 Zipf system (alpha is the fitted rank exponent, as printed with the outer
 exponent alpha rather than 1/alpha):
 
-    upper = lower * (n / (n*(upper/lower)**alpha - 1))**alpha
+    map(upper) = lower * (n / (n*(upper/lower)**alpha - 1))**alpha
 
-Both systems run through one iteration from the largest observed object,
-recomputing each step from the current iterate (true fixed-point
-coupling).  A Gamma step applies the deviation/update pair and converges
-when |next - upper| / |next| falls below the tolerance.  The raw Zipf map
-can oscillate, so a Zipf step is the half step toward the map; it
-converges when |map(upper) - upper| / |upper| fell below the tolerance.
-The tolerance is ``DEFAULT_TOL`` (1e-9); a run that has not converged
-after ``DEFAULT_MAX_ITER`` (10,000) steps stops and reports
-``converged`` false.  An overflow or a non-finite iterate ends the run
-with CutoffNumericError, which the pipeline notes in the section as
+The cutoff is the fixed point ``map(u) = u``.  Both maps decrease in
+``u``, so ``map(u) - u`` has exactly one root.  Brent's method finds it
+on the residual in ``y = log(u/lower)``, inside a closed-form bracket:
+``(0, log 2/alpha)`` for Gamma, ``(-log n/alpha, log 2/alpha]`` for Zipf,
+whose lower end is the edge of the map's domain.  The first evaluation,
+at the largest observed object, picks the side that holds the root.  A
+root beyond the floats, or an evaluation that overflows, raises
+CutoffNumericError, which the pipeline notes in the section as
 ``cutoff failed: ...``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import CutoffDomainError, CutoffNumericError
+from scipy.optimize import brentq
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 10_000
+from .errors import CutoffNumericError
 
 # published headline boundary shares for large financial-statement
 # corpora, carried in reports as comparison context only
@@ -45,6 +43,11 @@ REFERENCE_BOUNDARY_SHARES = {
     "length": 0.00015,
 }
 
+# the bracket ends where lower * exp(y) reaches half the largest float
+_LOG_HALF_FLOAT_MAX = math.log(sys.float_info.max / 2)
+# Brent's tolerance on y, divided by alpha above 1 as the bracket narrows
+_XTOL = 2e-12
+
 
 def _not_positive(x) -> bool:
     return not (math.isfinite(x) and x > 0)
@@ -52,7 +55,12 @@ def _not_positive(x) -> bool:
 
 @dataclass(frozen=True)
 class CutoffEstimate:
-    """Result of one cutoff iteration run."""
+    """Result of one cutoff solve.
+
+    ``trace`` holds every evaluated upper cutoff in order from the observed
+    maximum, then the root again if it was not the last; ``iterations``
+    counts the evaluations.
+    """
 
     lower_cutoff: float
     upper_cutoff: float
@@ -74,57 +82,55 @@ class CutoffEstimate:
 
 
 def gamma_deviation(n, lower, upper, alpha, rate) -> float:
-    """Empirical deviation of a Gamma system at the current upper cutoff."""
+    """Empirical deviation of a Gamma system at the upper cutoff."""
     return n * (lower / upper) ** (1.0 / alpha) * math.exp(rate * (lower - upper))
 
 
-def gamma_update(lower, deviation, n, alpha) -> float:
-    """Next upper cutoff from the current deviation; increasing in deviation."""
-    return lower * (1.0 + deviation / n) ** (1.0 / alpha)
-
-
-def _iterate(law, step, reported_deviation, n, lower, alpha, upper_init):
-    """The fixed-point loop both systems run, from ``upper_init``.
-
-    ``step(upper)`` gives the next iterate and the residual that ends the
-    run as converged below ``DEFAULT_TOL``; the run stops unconverged after
-    ``DEFAULT_MAX_ITER`` steps.  ``reported_deviation(previous, upper)``
-    gives the deviation reported from the last step's start and result.
-    """
+def _solve(law, log_map, y_floor, n, lower, alpha, rate, upper_init):
+    """The one root of ``log_map(y, u) - y``, where ``y = log(u/lower)`` and
+    ``log_map(y, u) = log(map(u)/lower)`` decreases in ``y``; the residual
+    is positive at ``y_floor`` and negative at ``log 2/alpha``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if _not_positive(lower) or lower > upper_init:
+    if _not_positive(lower) or _not_positive(upper_init) or lower > upper_init:
         raise ValueError("need 0 < lower <= upper_init")
     if _not_positive(alpha):
         raise ValueError("alpha must be positive")
 
-    upper = previous = float(upper_init)
-    trace = [upper]
-    converged = False
+    y0 = math.log(upper_init) - math.log(lower)
+    y_top = min(math.log(2.0) / alpha, _LOG_HALF_FLOAT_MAX - max(math.log(lower), 0.0))
+    cutoffs = {}  # evaluated y -> u, in evaluation order
+
+    def residual(y):
+        if y not in cutoffs:
+            cutoffs[y] = float(upper_init) if y == y0 else lower * math.exp(y)
+        return log_map(y, cutoffs[y]) - y
+
     try:
-        for iterations in range(1, DEFAULT_MAX_ITER + 1):
-            upper_next, residual = step(upper)
-            if not math.isfinite(upper_next):
-                raise CutoffNumericError(
-                    f"{law} cutoff iteration produced a non-finite value", trace=trace
-                )
-            trace.append(upper_next)
-            previous, upper = upper, upper_next
-            if residual < DEFAULT_TOL:
-                converged = True
-                break
-        deviation = reported_deviation(previous, upper)
+        a, b = (y0, y_top) if residual(y0) > 0.0 else (y_floor, min(y0, y_top))
+        if residual(b) > 0.0:
+            raise CutoffNumericError(
+                f"{law} cutoff has no root within the float range", trace=cutoffs.values()
+            )
+        root, result = brentq(
+            residual, a, b, xtol=_XTOL / max(alpha, 1.0), full_output=True, disp=False
+        )
+        upper = cutoffs[root]
+        deviation = gamma_deviation(n, lower, upper, alpha, rate)
     except OverflowError as exc:
         raise CutoffNumericError(
-            f"{law} cutoff iteration overflowed: {exc}", trace=trace
+            f"{law} cutoff solve overflowed: {exc}", trace=cutoffs.values()
         ) from exc
+    trace = list(cutoffs.values())
+    if trace[-1] != upper:
+        trace.append(upper)
     return CutoffEstimate(
         lower_cutoff=float(lower),
         upper_cutoff=upper,
         deviation=deviation,
         trace=tuple(trace),
-        converged=converged,
-        iterations=iterations,
+        converged=result.converged,
+        iterations=len(cutoffs),
     )
 
 
@@ -135,32 +141,15 @@ def estimate_cutoff_gamma(
     rate: float,
     upper_init: float,
 ) -> CutoffEstimate:
-    """Iterate the Gamma-system deviation/update pair from the observed maximum.
-
-    The reported deviation is the one that produced the last iterate.
-    """
+    """Fixed point of the Gamma-system map, with the deviation at the root."""
     if rate < 0:
         raise ValueError("rate must be non-negative")
 
-    def step(upper):
-        deviation = gamma_deviation(n, lower, upper, alpha, rate)
-        upper_next = gamma_update(lower, deviation, n, alpha)
-        return upper_next, abs(upper_next - upper) / abs(upper_next)
+    def log_map(y, upper):
+        # log((1 + deviation/n)**(1/alpha)), the deviation taken in logs
+        return math.log1p(math.exp(-y / alpha - rate * (upper - lower))) / alpha
 
-    def reported_deviation(previous, upper):
-        return gamma_deviation(n, lower, previous, alpha, rate)
-
-    return _iterate("Gamma", step, reported_deviation, n, lower, alpha, upper_init)
-
-
-def zipf_update(n, lower, alpha, upper) -> float:
-    """One application of the Zipf-system map; raises off its domain."""
-    bracket = n * (upper / lower) ** alpha - 1.0
-    if bracket <= 0.0:
-        raise CutoffDomainError(
-            f"Zipf cutoff bracket violated: n*(upper/lower)**alpha = {bracket + 1.0!r} <= 1"
-        )
-    return lower * (n / bracket) ** alpha
+    return _solve("Gamma", log_map, 0.0, n, lower, alpha, rate, upper_init)
 
 
 def estimate_cutoff_zipf(
@@ -169,20 +158,20 @@ def estimate_cutoff_zipf(
     alpha: float,
     upper_init: float,
 ) -> CutoffEstimate:
-    """Iterate the Zipf-system map, each step halfway toward the map.
+    """Fixed point of the Zipf-system map, reporting for symmetry the
+    rate-free Gamma deviation at the root."""
 
-    The reported deviation is the rate-free Gamma deviation at the last
-    iterate, for reporting symmetry.
-    """
+    def log_map(y, upper):
+        # alpha * (log n - log(n*exp(s) - 1)) with s = alpha*y; the second
+        # log, as s + log((n-1) - expm1(-s)), keeps its precision near s = 0
+        # and cannot overflow; +inf at and beyond the domain's edge
+        s = alpha * y
+        bracket = (n - 1) - math.expm1(-s)
+        if bracket <= 0.0:
+            return math.inf
+        return alpha * (math.log(n) - s - math.log(bracket))
 
-    def step(upper):
-        mapped = zipf_update(n, lower, alpha, upper)
-        return 0.5 * (upper + mapped), abs(mapped - upper) / abs(upper)
-
-    def reported_deviation(previous, upper):
-        return gamma_deviation(n, lower, upper, alpha, 0.0)
-
-    return _iterate("Zipf", step, reported_deviation, n, lower, alpha, upper_init)
+    return _solve("Zipf", log_map, -math.log(n) / alpha, n, lower, alpha, 0.0, upper_init)
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,10 @@ class FitFailureError(NumlawsError):
         self.best_params = best_params
 
 
-class CutoffDomainError(NumlawsError):
-    """Cutoff iteration left the domain of its update equation."""
-
-
 class CutoffNumericError(NumlawsError):
-    """Cutoff iteration produced a non-finite intermediate value.
+    """A cutoff solve overflowed, or its root lies beyond the finite floats.
 
-    The iterate trace up to the failure is attached as ``trace``.
+    The cutoffs evaluated up to the failure are attached as ``trace``.
     """
 
     def __init__(self, message, trace=()):

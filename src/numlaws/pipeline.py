@@ -9,7 +9,7 @@ inputs serialize to byte-identical JSON.
 
 ``DIMENSIONS`` is the one registry of per-dimension policy: the view
 built from the corpus, the candidate fits in preference order, the law
-the cutoff iteration runs on, the primary model whose failure is an
+the cutoff solve runs on, the primary model whose failure is an
 anomaly, and the observed share a boundary is compared against.
 ``analyze_dimension`` runs any dimension from its record; the CLI and
 ``AnalysisConfig`` read their dimension names from it.
@@ -67,7 +67,7 @@ class Dimension:
     # note prefix when the fit fails); the fitter is looked up by name at
     # call time so that a replaced module function is the one called
     fits: tuple[tuple[str, str, str], ...]
-    # law the cutoff iteration runs on, with that fit's parameters
+    # law the cutoff solve runs on, with that fit's parameters
     cutoff_law: str
     # conformity model whose failure flags the dimension as anomalous
     primary_model: str
@@ -234,7 +234,7 @@ class AnalysisReport:
 
 
 def share_scale_cutoff(view, fit: FitResult):
-    """Run a cutoff iteration on the view's relative-frequency scale.
+    """Solve for the cutoff on the view's relative-frequency scale.
 
     The system is the fit's law: a Gamma fit's shape and rate drive the
     Gamma system, a Zipf fit's rank exponent the Zipf system.  Skipped

@@ -170,6 +170,46 @@ class TestAnalyze:
         )
 
 
+    def test_year_map_key_naming_no_input_is_usage_error(self, tmp_path, capsys):
+        corpus_file = tmp_path / "v.txt"
+        corpus_file.write_text("1\n2\n", encoding="utf-8")
+        code = main(
+            [
+                "analyze", "--input", str(corpus_file), "--year-map", "w=2020",
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --year-map names no input: 'w'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_inputs_sharing_a_label_are_usage_error(self, tmp_path, capsys):
+        """a/x.txt and b/x.txt would both write x.<dimension>.<model>.csv."""
+        paths = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "x.txt"
+            path.write_text("1\n22\n333\n", encoding="utf-8")
+            paths.append(str(path))
+        out_dir = tmp_path / "out"
+        code = main(
+            ["analyze", "--input", *paths, "--format", "csv", "--out-dir", str(out_dir)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: two inputs share the corpus label 'x'\n"
+        assert not out_dir.exists()
+
+    def test_unwritable_out_dir_is_output_error(self, tmp_path, capsys):
+        corpus_file = tmp_path / "v.txt"
+        corpus_file.write_text("1\n22\n333\n", encoding="utf-8")
+        code = main(["analyze", "--input", str(corpus_file), "--out-dir", str(corpus_file)])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert "wrote" not in out
+
+
 class TestSynth:
     def test_zipf_corpus_file_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "z.txt"
@@ -304,9 +344,10 @@ class TestCutoffCommand:
         assert payload["converged"] is True
         assert payload["dimension"] == "frequency"
 
-    def test_overflowing_cutoff_is_an_error_not_a_crash(self, tmp_path, capsys):
-        """The Zipf map overflows on one 3 against 2001 sevens: the cutoff
-        command reports it on exit code 2, and analyze notes it."""
+    def test_cutoff_that_once_overflowed_converges(self, tmp_path, capsys):
+        """One 3 against 2001 sevens fits a rank exponent near 11, on which
+        a fixed-point loop overflowed: the cutoff command converges, and
+        analyze reports the same estimate."""
         corpus_file = tmp_path / "overflow.txt"
         corpus_file.write_text("3\n" + "7\n" * 2001, encoding="utf-8")
         code = main(
@@ -315,15 +356,18 @@ class TestCutoffCommand:
                 "--dimension", "frequency", "--system", "zipf",
             ]
         )
-        assert code == EXIT_INPUT
-        assert "Zipf cutoff iteration overflowed" in capsys.readouterr().err
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is True
         out_dir = tmp_path / "out"
         code = main(
             ["analyze", "--input", str(corpus_file), "--cutoff", "--out-dir", str(out_dir)]
         )
         capsys.readouterr()
         assert code == EXIT_OK
-        assert (out_dir / "report.json").is_file()
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        cutoff = report["corpora"][0]["sections"]["frequency"]["cutoff"]
+        assert cutoff["upper_cutoff"] == payload["upper_cutoff"]
 
     @pytest.mark.parametrize("fixture", ["sample_corpus.txt", "statement_fixture.txt"])
     def test_agrees_with_the_report(self, tmp_path, capsys, fixture):

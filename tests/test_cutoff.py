@@ -1,9 +1,11 @@
-"""Fixed-point cutoff estimation for Gamma and Zipf systems."""
+"""Cutoff estimation for Gamma and Zipf systems: the one root of map(u) = u."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from numlaws import (
@@ -19,44 +21,67 @@ from numlaws import (
     rank_frequency,
     sample_gamma_lengths,
 )
-from numlaws.cutoff import (
-    DEFAULT_MAX_ITER,
-    REFERENCE_BOUNDARY_SHARES,
-    gamma_deviation,
-    gamma_update,
-    zipf_update,
-)
-from numlaws.errors import CutoffDomainError, CutoffNumericError
+from numlaws.cutoff import REFERENCE_BOUNDARY_SHARES, gamma_deviation
+from numlaws.errors import CutoffNumericError
 from numlaws.pipeline import DIMENSIONS, share_scale_cutoff
+
+FIXED_POINT_REL = 1e-8
+
+
+def gamma_map(n, lower, upper, alpha, rate):
+    """The Gamma-system map in closed form: the deviation at ``upper``,
+    then the next upper cutoff from it."""
+    deviation = n * (lower / upper) ** (1.0 / alpha) * math.exp(rate * (lower - upper))
+    return lower * (1.0 + deviation / n) ** (1.0 / alpha)
+
+
+def zipf_map(n, lower, upper, alpha):
+    """The Zipf-system map in closed form."""
+    return lower * (n / (n * (upper / lower) ** alpha - 1.0)) ** alpha
+
+
+def assert_fixed_point(estimate, mapped):
+    upper = estimate.upper_cutoff
+    assert estimate.converged
+    assert abs(mapped - upper) <= FIXED_POINT_REL * upper
 
 
 class TestGammaUpdateMap:
     def test_zero_deviation_returns_lower_cutoff(self):
-        """The update equation collapses to the lower cutoff as the
-        deviation vanishes."""
+        """The map collapses to the lower cutoff as the deviation
+        vanishes; a decay that kills it just above the lower cutoff puts
+        the root there."""
         for alpha in (0.5, 1.0, 2.3):
-            assert gamma_update(3.0, 0.0, 1000, alpha) == 3.0
-            assert gamma_update(3.0, 1e-300, 1000, alpha) == pytest.approx(3.0)
+            estimate = estimate_cutoff_gamma(
+                n=1000, lower=3.0, alpha=alpha, rate=1e12, upper_init=10.0
+            )
+            assert estimate.converged
+            assert estimate.upper_cutoff == pytest.approx(3.0, rel=1e-9)
+            assert estimate.deviation < 1e-3
 
     def test_deviation_equal_to_n(self):
-        """deviation == n doubles the bracket: next iterate is
-        lower * 2**(1/alpha)."""
+        """deviation == n at the lower cutoff, where the map doubles the
+        bracket to lower * 2**(1/alpha); the root lies strictly between."""
         for alpha, lower in [(1.0, 2.0), (0.75, 5.0), (2.0, 1.0)]:
-            expected = lower * 2 ** (1 / alpha)
-            assert gamma_update(lower, 1000.0, 1000, alpha) == pytest.approx(
-                expected, rel=1e-12
+            assert gamma_deviation(1000, lower, lower, alpha, 0.7) == 1000
+            estimate = estimate_cutoff_gamma(
+                n=1000, lower=lower, alpha=alpha, rate=0.7, upper_init=5 * lower
             )
+            assert lower < estimate.upper_cutoff < lower * 2 ** (1 / alpha)
 
     def test_monotone_in_deviation(self):
+        """The map grows with the deviation, so the root falls as the
+        decay rate grows."""
         rng = np.random.default_rng(23)
         for _ in range(200):
             lower = float(rng.uniform(0.1, 50))
             alpha = float(rng.uniform(0.05, 4))
             n = int(rng.integers(1, 10**6))
-            d1, d2 = sorted(rng.uniform(0, 5 * n, size=2))
-            if d1 == d2:
-                continue
-            assert gamma_update(lower, d1, n, alpha) < gamma_update(lower, d2, n, alpha)
+            r1, r2 = sorted(rng.uniform(0, 5, size=2))
+            kwargs = dict(n=n, lower=lower, alpha=alpha, upper_init=2 * lower)
+            slow = estimate_cutoff_gamma(rate=float(r1), **kwargs)
+            fast = estimate_cutoff_gamma(rate=float(r2), **kwargs)
+            assert slow.upper_cutoff >= fast.upper_cutoff
 
     def test_large_rate_kills_deviation(self):
         dev = gamma_deviation(10**4, 1.0, 50.0, 1.0, rate=100.0)
@@ -65,7 +90,7 @@ class TestGammaUpdateMap:
 
 class TestGammaCutoffIteration:
     def test_synthetic_corpora_converge_near_observed_maximum(self):
-        """20 seeded concentrated corpora: the iteration converges and the
+        """20 seeded concentrated corpora: the solve converges and the
         estimate stays within a factor of 3 of the largest generated
         value (factor frozen empirically before the build)."""
         for seed in range(20):
@@ -83,7 +108,7 @@ class TestGammaCutoffIteration:
                 upper_init=upper_init,
             )
             assert estimate.converged
-            assert estimate.iterations <= 10**4
+            assert estimate.iterations <= 50
             assert estimate.upper_cutoff >= estimate.lower_cutoff
             ratio = upper_init / estimate.upper_cutoff
             assert 1 / 3 <= ratio <= 3
@@ -93,6 +118,7 @@ class TestGammaCutoffIteration:
             n=100, lower=1.0, alpha=1.0, rate=0.5, upper_init=7.0
         )
         assert estimate.trace[0] == 7.0
+        assert estimate.trace[-1] == estimate.upper_cutoff
 
     def test_converged_implies_small_last_step(self):
         estimate = estimate_cutoff_gamma(
@@ -106,34 +132,27 @@ class TestGammaCutoffIteration:
         kwargs = dict(n=10**4, lower=1.0, alpha=1.1, rate=1.2, upper_init=3.0)
         assert estimate_cutoff_gamma(**kwargs).trace == estimate_cutoff_gamma(**kwargs).trace
 
-    def test_strong_decay_cycles_without_converging(self):
-        """A very large rate makes the update pair an exact 2-cycle between
-        the lower cutoff and its doubled bracket; reported honestly."""
+    def test_strong_decay_puts_the_root_near_the_lower_cutoff(self):
+        """A very large rate makes the map jump between the lower cutoff
+        and its doubled bracket, an exact 2-cycle for a fixed-point loop;
+        the root between them is found."""
+        n, lower, alpha, rate = 1000, 2.0, 1.0, 100.0
         estimate = estimate_cutoff_gamma(
-            n=1000, lower=2.0, alpha=1.0, rate=100.0, upper_init=50.0
+            n=n, lower=lower, alpha=alpha, rate=rate, upper_init=50.0
         )
-        assert not estimate.converged
-        assert estimate.iterations == DEFAULT_MAX_ITER
-        assert len(estimate.trace) == DEFAULT_MAX_ITER + 1
+        assert_fixed_point(estimate, gamma_map(n, lower, estimate.upper_cutoff, alpha, rate))
+        assert lower < estimate.upper_cutoff < 1.05 * lower
 
     def test_non_finite_iterate_raises_with_trace(self):
-        with pytest.raises(CutoffNumericError) as excinfo:
+        """A root beyond the largest float raises, carrying the cutoffs
+        evaluated so far."""
+        with pytest.raises(CutoffNumericError, match="no root within the float") as excinfo:
             estimate_cutoff_gamma(
                 n=10, lower=1e308, alpha=0.5, rate=0.0, upper_init=1e308
             )
-        assert len(excinfo.value.trace) >= 1
-        # 1/alpha of about 1,560 overflows the float power in the update
+        assert excinfo.value.trace[0] == 1e308
         with pytest.raises(CutoffNumericError) as excinfo:
-            estimate_cutoff_gamma(
-                n=300, lower=0.22, alpha=6.4e-4, rate=0.0, upper_init=0.55
-            )
-        assert len(excinfo.value.trace) >= 1
-        # the Zipf map's outer power overflows once an iterate falls near
-        # the bracket's root
-        with pytest.raises(
-            CutoffNumericError, match="Zipf cutoff iteration overflowed"
-        ) as excinfo:
-            estimate_cutoff_zipf(n=10**6, lower=8.05e-05, alpha=23.5, upper_init=0.557)
+            estimate_cutoff_zipf(n=10, lower=1e308, alpha=0.5, upper_init=1e308)
         assert len(excinfo.value.trace) >= 1
 
     def test_input_validation(self):
@@ -145,24 +164,31 @@ class TestGammaCutoffIteration:
             estimate_cutoff_gamma(n=10, lower=1.0, alpha=-1.0, rate=0.0, upper_init=2.0)
         with pytest.raises(ValueError):
             estimate_cutoff_gamma(n=10, lower=1.0, alpha=1.0, rate=-0.1, upper_init=2.0)
+        with pytest.raises(ValueError):
+            estimate_cutoff_zipf(n=10, lower=1.0, alpha=1.0, upper_init=math.inf)
 
 
 class TestZipfCutoffIteration:
     def test_fixed_point_is_stationary(self):
-        """One iteration from a numerically located fixed point moves by
-        less than 1e-12."""
+        """The estimate is the fixed point located independently on the
+        closed-form map, and the map leaves it in place."""
         n, lower, alpha = 200, 1.0, 0.75
         star = brentq(
-            lambda o: zipf_update(n, lower, alpha, o) - o, 1.0 + 1e-9, 2.0, xtol=1e-14
+            lambda o: zipf_map(n, lower, o, alpha) - o, 1.0 + 1e-9, 2.0, xtol=1e-14
         )
-        moved = 0.5 * (star + zipf_update(n, lower, alpha, star))
-        assert abs(moved - star) < 1e-12
+        estimate = estimate_cutoff_zipf(n=n, lower=lower, alpha=alpha, upper_init=5.0)
+        assert estimate.upper_cutoff == pytest.approx(star, rel=1e-12)
+        moved = zipf_map(n, lower, estimate.upper_cutoff, alpha)
+        assert abs(moved - estimate.upper_cutoff) < 1e-12
 
     def test_large_n_limit_matches_hand_derivation(self):
-        """As n grows the map tends to lower * (lower/upper)**(alpha**2)."""
-        n, lower, alpha, upper = 10**9, 2.0, 0.8, 5.0
-        limit = lower * (lower / upper) ** (alpha * alpha)
-        assert zipf_update(n, lower, alpha, upper) == pytest.approx(limit, rel=1e-6)
+        """As n grows, log(map(u)/lower) tends to alpha/n - alpha**2 * y
+        with y = log(u/lower), so the root tends to
+        y = alpha / (n * (1 + alpha**2))."""
+        n, lower, alpha = 10**9, 2.0, 0.8
+        estimate = estimate_cutoff_zipf(n=n, lower=lower, alpha=alpha, upper_init=5.0)
+        limit = lower * math.exp(alpha / (n * (1 + alpha * alpha)))
+        assert estimate.upper_cutoff == pytest.approx(limit, rel=1e-11)
 
     def test_synthetic_corpora_converge(self):
         """20 seeded Zipf corpora: finite converged estimates at or above
@@ -181,20 +207,90 @@ class TestZipfCutoffIteration:
             assert math.isfinite(estimate.upper_cutoff)
             assert estimate.upper_cutoff >= estimate.lower_cutoff
             residual = abs(
-                zipf_update(n, lower, alpha, estimate.upper_cutoff)
+                zipf_map(n, lower, estimate.upper_cutoff, alpha)
                 - estimate.upper_cutoff
             ) / estimate.upper_cutoff
             assert residual < 1e-9
 
-    def test_bracket_violation_raises(self):
-        with pytest.raises(CutoffDomainError):
-            zipf_update(2, 1.0, 1.0, 0.4)
-        with pytest.raises(CutoffDomainError):
-            estimate_cutoff_zipf(n=1, lower=1.0, alpha=1.0, upper_init=1.0)
+    def test_start_at_the_domain_edge_finds_the_root(self):
+        """With n = 1 the map is undefined at u = lower, the edge of its
+        domain; started there, the solve still finds the root, which for
+        alpha = 1 is the golden ratio."""
+        estimate = estimate_cutoff_zipf(n=1, lower=1.0, alpha=1.0, upper_init=1.0)
+        assert estimate.trace[0] == 1.0
+        assert estimate.converged
+        assert estimate.upper_cutoff == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-12)
 
     def test_deterministic_trace(self):
         kwargs = dict(n=300, lower=2.0, alpha=0.9, upper_init=500.0)
         assert estimate_cutoff_zipf(**kwargs).trace == estimate_cutoff_zipf(**kwargs).trace
+
+
+class TestRootSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        law=st.sampled_from(["gamma", "zipf"]),
+        alpha=st.floats(1e-6, 1e3),
+        rate=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+        n=st.integers(1, 10**12),
+        lower=st.floats(1e-300, 1e300),
+        spread=st.floats(1.0, 1e300),
+    )
+    def test_root_is_a_fixed_point_or_a_numeric_error(
+        self, law, alpha, rate, n, lower, spread
+    ):
+        """Any input converges to a fixed point of the closed-form map,
+        or fails with CutoffNumericError.  Outside 1e-6 <= alpha <= 1e3
+        the closed-form map itself loses more than 1e-8 to rounding."""
+        upper_init = min(lower * spread, 1e308)
+        try:
+            if law == "gamma":
+                estimate = estimate_cutoff_gamma(
+                    n=n, lower=lower, alpha=alpha, rate=rate, upper_init=upper_init
+                )
+            else:
+                estimate = estimate_cutoff_zipf(
+                    n=n, lower=lower, alpha=alpha, upper_init=upper_init
+                )
+        except CutoffNumericError:
+            return
+        upper = estimate.upper_cutoff
+        if law == "gamma":
+            mapped = gamma_map(n, lower, upper, alpha, rate)
+        else:
+            mapped = zipf_map(n, lower, upper, alpha)
+        assert_fixed_point(estimate, mapped)
+        assert estimate.trace[0] == upper_init
+        assert estimate.trace[-1] == upper
+
+    @pytest.mark.parametrize(
+        "law, kwargs, root",
+        [
+            ("gamma", dict(n=3008, lower=0.05319148936170213, alpha=0.421162587302206,
+                           rate=0.09487737057612713, upper_init=0.28956117021276595), 0.0929),
+            ("gamma", dict(n=9, lower=1 / 9, alpha=0.11733216042216389,
+                           rate=0.06590765569265752, upper_init=1 / 3), 0.160),
+            ("zipf", dict(n=4, lower=0.25, alpha=1.584962500721156, upper_init=0.75), 0.278),
+        ],
+    )
+    def test_inputs_a_fixed_point_loop_cycled_on(self, law, kwargs, root):
+        """A first-digit, a length and a rank cutoff on which a fixed-point
+        loop cycled between two values and reported one of them."""
+        if law == "gamma":
+            estimate = estimate_cutoff_gamma(**kwargs)
+            mapped = gamma_map(
+                kwargs["n"], kwargs["lower"], estimate.upper_cutoff,
+                kwargs["alpha"], kwargs["rate"],
+            )
+        else:
+            estimate = estimate_cutoff_zipf(**kwargs)
+            mapped = zipf_map(
+                kwargs["n"], kwargs["lower"], estimate.upper_cutoff, kwargs["alpha"]
+            )
+        assert_fixed_point(estimate, mapped)
+        lower = kwargs["lower"]
+        assert lower < estimate.upper_cutoff < lower * 2 ** (1 / kwargs["alpha"])
+        assert estimate.upper_cutoff == pytest.approx(root, abs=5e-4)
 
 
 class TestSystemAgreement:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (including failing conformity verdicts, which
 are data news rather than tool failure), 2 on input/ingest errors and on
-analyze outputs that cannot be written, 64 on usage errors.  Human-readable
-summaries round to 5 significant digits; JSON output keeps full precision.
+outputs that cannot be written by any subcommand, 64 on usage errors.
+Human-readable summaries round to 5 significant digits; JSON output
+keeps full precision.
 """
 
 from __future__ import annotations
@@ -111,17 +112,13 @@ def cmd_analyze(args) -> int:
 
     out_dir = Path(args.out_dir)
     written = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.format in ("json", "both"):
-            report_path = out_dir / "report.json"
-            report_path.write_text(report_to_json(report), encoding="utf-8")
-            written.append(report_path)
-        if args.format in ("csv", "both"):
-            written.extend(write_plot_bundles(report, out_dir))
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.format in ("json", "both"):
+        report_path = out_dir / "report.json"
+        report_path.write_text(report_to_json(report), encoding="utf-8")
+        written.append(report_path)
+    if args.format in ("csv", "both"):
+        written.extend(write_plot_bundles(report, out_dir))
 
     for analysis in report.corpora:
         for dimension in sorted(analysis.sections):
@@ -278,11 +275,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IngestError, FileNotFoundError) as exc:
+    except IngestError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumlawsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        # reads raise IngestError, so an OSError here is a failed write
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

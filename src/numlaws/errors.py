@@ -54,10 +54,3 @@ class CutoffNumericError(NumlawsError):
 class InsufficientDataError(NumlawsError):
     """Not enough data points for the requested summary (e.g. trend)."""
 
-
-class NotFittedError(ValueError, AttributeError):
-    """Estimator method was called before ``fit``.
-
-    Inherits from both ``ValueError`` and ``AttributeError`` so generic
-    scikit-learn-style tooling catches it.
-    """

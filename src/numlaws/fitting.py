@@ -1,21 +1,23 @@
-"""Least-squares estimation of the three laws from observed histograms.
+"""Least-squares estimation of the three laws from observed views.
 
-Estimators follow the scikit-learn protocol: construct with
-hyperparameters, ``fit(X)`` where ``X`` is a histogram-like object (or a
-``(support, frequencies)`` pair), fitted attributes carry a trailing
-underscore, ``predict(support)`` evaluates the fitted curve.
+Each law is fitted by a function from a view (any object with
+``support`` and ``frequencies``, such as a digit or length histogram or a
+rank-frequency table) to a ``FitResult``.  No public fit calls another,
+so a wrapper around one of them sees exactly one call per fit.
 
-- BenfordFitter has no free parameters; fitting only scores the data.
-- ZipfFitter runs ordinary least squares on (log rank, log frequency);
+- ``fit_benford`` has no free parameters; fitting only scores the data.
+- ``fit_zipf`` runs ordinary least squares on (log rank, log frequency);
   the slope is the negated exponent, the intercept the log scale.
   Zero-frequency support points are excluded from the regression but
-  retained for scoring.
-- GammaFitter minimizes squared error in linear frequency space by
+  retained for scoring.  ``fit_zipf_on_lengths`` is the same fit with
+  decimal length standing in for rank.
+- ``fit_gamma`` minimizes squared error in linear frequency space by
   variable projection: the amplitude is profiled out exactly by a linear
   solve, and one Levenberg-Marquardt run refines (log rate, shape) from
-  a closed-form least-squares start in log space.  The rate can be
-  pinned to zero for the pure power-law comparison variant; the full fit
-  runs that nested fit too and keeps whichever fits better.
+  a closed-form least-squares start in log space.
+  ``fit_gamma_rate_zero`` pins the rate to zero for the pure power-law
+  comparison variant; the full fit runs that nested fit too and keeps
+  whichever fits better.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .base import BaseEstimator, check_is_fitted
 from .corpus import (
     DigitHistogram,
     LengthHistogram,
@@ -95,64 +96,6 @@ def _build_result(model, support, observed, curve, iterations) -> FitResult:
     )
 
 
-class _CurveFitter(BaseEstimator):
-    """``predict`` and ``result`` of a fitter whose ``fit`` sets ``model_``,
-    ``support_``, ``observed_``, ``curve_`` and ``n_iter_``."""
-
-    def predict(self, support):
-        check_is_fitted(self, "model_")
-        return self.model_.weights(support)
-
-    def result(self) -> FitResult:
-        check_is_fitted(self, "model_")
-        return _build_result(
-            self.model_, self.support_, self.observed_, self.curve_, self.n_iter_
-        )
-
-
-class BenfordFitter(_CurveFitter):
-    """Score observed first-digit frequencies against the fixed Benford pmf."""
-
-    def fit(self, X, y=None):
-        support, observed = support_frequencies(X)
-        self.model_ = BenfordModel()
-        self.support_ = support
-        self.observed_ = observed
-        self.curve_ = self.model_.weights(support)
-        self.n_iter_ = 0
-        return self
-
-
-class ZipfFitter(_CurveFitter):
-    """Power-law fit by OLS in log-log space, scored in linear space."""
-
-    def fit(self, X, y=None):
-        support, observed = support_frequencies(X)
-        if np.any(support < 1):
-            raise ValueError("Zipf support (ranks) must be >= 1")
-        mask = observed > 0
-        if int(mask.sum()) < 2:
-            raise UnderdeterminedFitError(
-                "Zipf fit needs at least 2 positive-frequency ranks"
-            )
-        log_r = np.log(support[mask])
-        log_f = np.log(observed[mask])
-        centered = log_r - log_r.mean()
-        denom = float(centered @ centered)
-        if denom == 0.0:
-            raise UnderdeterminedFitError("all ranks identical; slope undefined")
-        slope = float(centered @ (log_f - log_f.mean())) / denom
-        intercept = float(log_f.mean() - slope * log_r.mean())
-        self.exponent_ = -slope
-        self.scale_ = math.exp(intercept)
-        self.model_ = ZipfModel(exponent=self.exponent_, scale=self.scale_)
-        self.support_ = support
-        self.observed_ = observed
-        self.curve_ = self.model_.weights(support)
-        self.n_iter_ = 0
-        return self
-
-
 def _gamma_profile(theta, support, observed, log_support):
     """Residual of the best amplitude for one (rate, shape), solved exactly.
 
@@ -216,90 +159,95 @@ def _gamma_refine(support, observed, log_support, rate_zero):
     return result
 
 
-class GammaFitter(_CurveFitter):
-    """Three-parameter discrete Gamma fit (or two with the rate pinned to 0).
+def _fit_gamma(view, rate_zero) -> FitResult:
+    """Discrete Gamma fit, with the rate pinned to 0 when ``rate_zero``.
 
-    Variable projection: the amplitude is profiled out exactly, and one
-    Levenberg-Marquardt run refines (log rate, shape) from a closed-form
-    least-squares start in log space.  The full fit also runs the nested
-    rate-zero fit and returns whichever has the lower squared error,
-    preferring rate zero on a tie or when the fitted rate is below 1e-12.
-    Each run stops after ``_MAX_EVALUATIONS`` (1000) function evaluations,
-    or on its step tolerance ``_XTOL`` (1e-10) or its relative-reduction
-    and gradient tolerance ``_FTOL`` (1e-12).  The path is deterministic,
-    so identical inputs give bit-identical results.
+    The full fit keeps the nested rate-zero fit on a tie or when its own
+    rate is below 1e-12.  Each Levenberg-Marquardt run stops after
+    ``_MAX_EVALUATIONS`` (1000) function evaluations, or on its step
+    tolerance ``_XTOL`` (1e-10) or its relative-reduction and gradient
+    tolerance ``_FTOL`` (1e-12).  The path is deterministic, so identical
+    inputs give bit-identical results.
     """
-
-    def __init__(self, rate_zero=False):
-        self.rate_zero = rate_zero
-
-    def fit(self, X, y=None):
-        support, observed = support_frequencies(X)
-        if np.any(support <= 0):
-            raise ValueError("Gamma support must be positive")
-        if int(np.sum(observed > 0)) < 3:
-            raise UnderdeterminedFitError(
-                "Gamma fit needs at least 3 positive-frequency support points"
-            )
-        log_support = np.log(support)
-        best = _gamma_refine(support, observed, log_support, rate_zero=True)
-        rate, evaluations = 0.0, best.nfev
-        if not self.rate_zero:
-            full = _gamma_refine(support, observed, log_support, rate_zero=False)
-            evaluations += full.nfev
-            full_rate = math.exp(min(full.x[0], _LOG_RATE_MAX))
-            # below the floor the full fit is the nested one up to round-off
-            if full_rate >= _RATE_FLOOR and full.cost < best.cost:
-                best, rate = full, full_rate
-        _, scaled_amplitude, shift = _gamma_profile(
-            best.x, support, observed, log_support
+    support, observed = support_frequencies(view)
+    if np.any(support <= 0):
+        raise ValueError("Gamma support must be positive")
+    if int(np.sum(observed > 0)) < 3:
+        raise UnderdeterminedFitError(
+            "Gamma fit needs at least 3 positive-frequency support points"
         )
-        shape = float(best.x[-1])
-        with np.errstate(over="ignore"):
-            amplitude = float(scaled_amplitude * np.exp(-shift))
-            if not (math.isfinite(amplitude) and amplitude > 0):
-                raise FitFailureError(
-                    "Gamma fit produced a non-finite or non-positive amplitude",
-                    best_params=(scaled_amplitude, rate, shape),
-                )
-            model = GammaModel(amplitude=amplitude, rate=rate, shape=shape)
-            curve = model.weights(support)
-        if not np.all(np.isfinite(curve)):
+    log_support = np.log(support)
+    best = _gamma_refine(support, observed, log_support, rate_zero=True)
+    rate, evaluations = 0.0, best.nfev
+    if not rate_zero:
+        full = _gamma_refine(support, observed, log_support, rate_zero=False)
+        evaluations += full.nfev
+        full_rate = math.exp(min(full.x[0], _LOG_RATE_MAX))
+        # below the floor the full fit is the nested one up to round-off
+        if full_rate >= _RATE_FLOOR and full.cost < best.cost:
+            best, rate = full, full_rate
+    _, scaled_amplitude, shift = _gamma_profile(best.x, support, observed, log_support)
+    shape = float(best.x[-1])
+    with np.errstate(over="ignore"):
+        amplitude = float(scaled_amplitude * np.exp(-shift))
+        if not (math.isfinite(amplitude) and amplitude > 0):
             raise FitFailureError(
-                "Gamma fit produced a non-finite curve",
-                best_params=(model.amplitude, model.rate, model.shape),
+                "Gamma fit produced a non-finite or non-positive amplitude",
+                best_params=(scaled_amplitude, rate, shape),
             )
-        self.amplitude_ = model.amplitude
-        self.rate_ = model.rate
-        self.shape_ = model.shape
-        self.model_ = model
-        self.support_ = support
-        self.observed_ = observed
-        self.curve_ = curve
-        self.n_iter_ = int(evaluations)
-        return self
+        model = GammaModel(amplitude=amplitude, rate=rate, shape=shape)
+        curve = model.weights(support)
+    if not np.all(np.isfinite(curve)):
+        raise FitFailureError(
+            "Gamma fit produced a non-finite curve",
+            best_params=(model.amplitude, model.rate, model.shape),
+        )
+    return _build_result(model, support, observed, curve, evaluations)
+
+
+def _fit_zipf(view) -> FitResult:
+    """Power-law fit by OLS in log-log space, scored in linear space."""
+    support, observed = support_frequencies(view)
+    if np.any(support < 1):
+        raise ValueError("Zipf support (ranks) must be >= 1")
+    mask = observed > 0
+    if int(mask.sum()) < 2:
+        raise UnderdeterminedFitError("Zipf fit needs at least 2 positive-frequency ranks")
+    log_r = np.log(support[mask])
+    log_f = np.log(observed[mask])
+    centered = log_r - log_r.mean()
+    denom = float(centered @ centered)
+    if denom == 0.0:
+        raise UnderdeterminedFitError("all ranks identical; slope undefined")
+    slope = float(centered @ (log_f - log_f.mean())) / denom
+    intercept = float(log_f.mean() - slope * log_r.mean())
+    model = ZipfModel(exponent=-slope, scale=math.exp(intercept))
+    return _build_result(model, support, observed, model.weights(support), 0)
 
 
 def fit_benford(hist: DigitHistogram) -> FitResult:
-    return BenfordFitter().fit(hist).result()
+    """Score observed first-digit frequencies against the fixed Benford pmf."""
+    support, observed = support_frequencies(hist)
+    model = BenfordModel()
+    return _build_result(model, support, observed, model.weights(support), 0)
 
 
 def fit_zipf(table) -> FitResult:
-    return ZipfFitter().fit(table).result()
-
-
-def fit_gamma(hist) -> FitResult:
-    return GammaFitter().fit(hist).result()
-
-
-def fit_gamma_rate_zero(hist) -> FitResult:
-    """Two-parameter pure power-law variant of the Gamma fit (rate = 0)."""
-    return GammaFitter(rate_zero=True).fit(hist).result()
+    return _fit_zipf(table)
 
 
 def fit_zipf_on_lengths(hist: LengthHistogram) -> FitResult:
     """Zipf fit with decimal length standing in for rank."""
-    return ZipfFitter().fit(hist).result()
+    return _fit_zipf(hist)
+
+
+def fit_gamma(hist) -> FitResult:
+    return _fit_gamma(hist, rate_zero=False)
+
+
+def fit_gamma_rate_zero(hist) -> FitResult:
+    """Two-parameter pure power-law variant of the Gamma fit (rate = 0)."""
+    return _fit_gamma(hist, rate_zero=True)
 
 
 _POOLED_DIMENSIONS = {"first_digit", "frequency", "length"}

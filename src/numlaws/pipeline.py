@@ -123,6 +123,8 @@ class AnalysisConfig:
         bad = set(self.analyses) - set(DIMENSIONS)
         if bad:
             raise ValueError(f"unknown analyses: {sorted(bad)}")
+        if len(set(self.analyses)) < len(self.analyses):
+            raise ValueError(f"repeated analyses: {list(self.analyses)}")
 
 
 @dataclass(frozen=True)

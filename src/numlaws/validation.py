@@ -36,24 +36,14 @@ def check_pmf(values, name="pmf", atol=1e-8):
     return arr
 
 
-def support_frequencies(X):
+def support_frequencies(view):
     """Extract ``(support, frequencies)`` float arrays from a fit input.
 
-    Accepts any histogram-like object exposing ``support`` and
-    ``frequencies`` attributes, or a ``(support, frequencies)`` pair of
-    sequences.
+    A fit input is a view: any object exposing ``support`` and
+    ``frequencies`` attributes.
     """
-    if hasattr(X, "support") and hasattr(X, "frequencies"):
-        support, freqs = X.support, X.frequencies
-    else:
-        try:
-            support, freqs = X
-        except (TypeError, ValueError):
-            raise TypeError(
-                "expected a histogram-like object or a (support, frequencies) pair"
-            ) from None
-    support = as_float_array(support, "support")
-    freqs = as_float_array(freqs, "frequencies")
+    support = as_float_array(view.support, "support")
+    freqs = as_float_array(view.frequencies, "frequencies")
     check_equal_length(support, freqs, ("support", "frequencies"))
     if np.any(freqs < 0):
         raise ValueError("frequencies must be non-negative")

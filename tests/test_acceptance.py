@@ -17,6 +17,7 @@ import pytest
 from numlaws import (
     GammaModel,
     LengthHistogram,
+    SyntheticHistogram,
     benford_pmf,
     estimate_cutoff_gamma,
     estimate_cutoff_zipf,
@@ -100,7 +101,7 @@ def test_criterion_03_zipf_exact_recovery():
     ranks = np.arange(1, 501, dtype=float)
     freqs = 0.054 / ranks**0.75
     with budget(3, "noise-free Zipf parameter recovery", 0.010):
-        fit = fit_zipf((ranks, freqs))
+        fit = fit_zipf(SyntheticHistogram(ranks, freqs))
     assert abs(fit.model.exponent - 0.75) < 1e-9
     assert abs(fit.model.scale - 0.054) < 1e-9
     assert abs(fit.scores.r_squared - 1.0) < 1e-9

@@ -98,6 +98,22 @@ class TestAnalyze:
             main(["analyze", "--input", str(tmp_path / "ghost.txt")]) == EXIT_INPUT
         )
 
+    def test_repeated_analysis_is_usage_error(self, tmp_path, capsys):
+        """``digit`` and ``first_digit`` name the same dimension."""
+        corpus_file = tmp_path / "v.txt"
+        corpus_file.write_text("1\n22\n333\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "analyze", "--input", str(corpus_file), "--analyses", "digit,first_digit",
+                "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "usage error: repeated analyses: ['first_digit', 'first_digit']\n"
+        assert not out_dir.exists()
+
     def test_unknown_analysis_is_usage_error(self, tmp_path):
         corpus_file = tmp_path / "v.txt"
         corpus_file.write_text("1\n2\n3\n", encoding="utf-8")
@@ -243,6 +259,15 @@ class TestSynth:
             outputs.append(out.read_bytes())
         capsys.readouterr()
         assert outputs[0] == outputs[1]
+
+    def test_output_naming_a_directory_is_output_error(self, tmp_path, capsys):
+        code = main(
+            ["synth", "--model", "benford", "--n", "5", "--seed", "0", "--output", str(tmp_path)]
+        )
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "wrote" not in out
 
     def test_benford_rejects_model_specific_flags(self, tmp_path):
         code = main(

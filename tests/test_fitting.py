@@ -1,4 +1,4 @@
-"""Law estimation: exact recovery, sampled recovery, and estimator protocol."""
+"""Law estimation: exact recovery, sampled recovery, and the fit contract."""
 
 import math
 import time
@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numlaws import (
-    BenfordFitter,
     DigitHistogram,
-    GammaFitter,
     LengthHistogram,
     NumberCorpus,
-    ZipfFitter,
+    SyntheticHistogram,
     exact_histogram,
     fit_benford,
     fit_gamma,
@@ -28,7 +26,6 @@ from numlaws import (
 )
 from numlaws.errors import (
     FitFailureError,
-    NotFittedError,
     NumlawsError,
     UnderdeterminedFitError,
 )
@@ -51,7 +48,7 @@ class TestBenfordFit:
     def test_exact_benford_histogram_is_perfect(self):
         xs = np.arange(1, 10, dtype=float)
         benford = np.log10(1 + 1 / xs)
-        fit = fit_benford((xs, benford))
+        fit = fit_benford(SyntheticHistogram(xs, benford))
         assert fit.scores.r_squared == 1.0
         assert fit.scores.kl == 0.0
         assert fit.scores.js == 0.0
@@ -63,7 +60,7 @@ class TestBenfordFit:
         assert fit.scores.r_squared > 0.99
 
     def test_uniform_histogram_fails_verdict(self):
-        fit = fit_benford((np.arange(1, 10), np.full(9, 1 / 9)))
+        fit = fit_benford(SyntheticHistogram(np.arange(1, 10), np.full(9, 1 / 9)))
         assert fit.scores.r_squared < 0.8
         assert fit.verdict.r_squared == "fail"
 
@@ -72,7 +69,7 @@ class TestZipfFit:
     def test_exact_pooled_parameters_recovered(self):
         ranks = np.arange(1, 501, dtype=float)
         freqs = 0.054 / ranks**0.75
-        fit = fit_zipf((ranks, freqs))
+        fit = fit_zipf(SyntheticHistogram(ranks, freqs))
         assert fit.model.exponent == pytest.approx(0.75, abs=1e-9)
         assert fit.model.scale == pytest.approx(0.054, abs=1e-9)
         assert fit.scores.r_squared == pytest.approx(1.0, abs=1e-9)
@@ -80,7 +77,7 @@ class TestZipfFit:
 
     def test_canonical_harmonic_law(self):
         ranks = np.arange(1, 101, dtype=float)
-        fit = fit_zipf((ranks, 1.0 / ranks))
+        fit = fit_zipf(SyntheticHistogram(ranks, 1.0 / ranks))
         assert fit.model.exponent == pytest.approx(1.0, abs=1e-9)
         assert fit.model.scale == pytest.approx(1.0, abs=1e-9)
 
@@ -95,9 +92,9 @@ class TestZipfFit:
         ranks = np.arange(1, 60, dtype=float)
         rng = np.random.default_rng(31)
         freqs = 0.3 / ranks**0.8 * np.exp(rng.normal(0, 0.05, size=len(ranks)))
-        base = fit_zipf((ranks, freqs))
+        base = fit_zipf(SyntheticHistogram(ranks, freqs))
         for c in (0.25, 3.0, 117.0):
-            scaled = fit_zipf((ranks, c * freqs))
+            scaled = fit_zipf(SyntheticHistogram(ranks, c * freqs))
             assert scaled.model.exponent == pytest.approx(
                 base.model.exponent, abs=1e-12
             )
@@ -105,12 +102,19 @@ class TestZipfFit:
 
     def test_underdetermined(self):
         with pytest.raises(UnderdeterminedFitError):
-            fit_zipf((np.array([1.0, 2.0]), np.array([1.0, 0.0])))
+            fit_zipf(SyntheticHistogram(np.array([1.0, 2.0]), np.array([1.0, 0.0])))
+
+    def test_fitted_curve_evaluates_off_the_support(self):
+        ranks = np.arange(1, 30, dtype=float)
+        fit = fit_zipf(SyntheticHistogram(ranks, 0.2 / ranks**0.6))
+        np.testing.assert_allclose(
+            fit.model.weights([40.0]), [0.2 / 40.0**0.6], rtol=1e-9
+        )
 
     def test_zero_frequency_points_kept_for_scoring(self):
         ranks = np.arange(1, 6, dtype=float)
         freqs = np.array([0.5, 0.3, 0.0, 0.15, 0.05])
-        fit = fit_zipf((ranks, freqs))
+        fit = fit_zipf(SyntheticHistogram(ranks, freqs))
         assert len(fit.curve) == 5
         assert all(v > 0 for v in fit.curve)
 
@@ -120,7 +124,7 @@ class TestGammaFit:
         """Fitting the unnormalized pooled digit curve recovers all three
         parameters, amplitude included."""
         xs = np.arange(1, 10, dtype=float)
-        fit = fit_gamma((xs, gamma_curve(*POOLED_DIGIT_PARAMS, xs)))
+        fit = fit_gamma(SyntheticHistogram(xs, gamma_curve(*POOLED_DIGIT_PARAMS, xs)))
         assert fit.model.amplitude == pytest.approx(0.38, abs=1e-3)
         assert fit.model.rate == pytest.approx(0.32, abs=1e-3)
         assert fit.model.shape == pytest.approx(1.027, abs=1e-3)
@@ -133,7 +137,7 @@ class TestGammaFit:
         assert fit.scores.r_squared >= 1 - 1e-9
 
     def test_uniform_histogram_is_in_family(self):
-        fit = fit_gamma((np.arange(1, 10, dtype=float), np.full(9, 1 / 9)))
+        fit = fit_gamma(SyntheticHistogram(np.arange(1, 10, dtype=float), np.full(9, 1 / 9)))
         assert fit.model.rate == 0.0
         assert fit.model.shape == pytest.approx(1.0, abs=1e-6)
         assert fit.scores.r_squared == 1.0
@@ -158,10 +162,10 @@ class TestGammaFit:
         log_xs = np.log(xs)
         start = _gamma_start(xs, freqs, log_xs, rate_zero=False)
         start_sse = float(np.sum(_gamma_profile(start, xs, freqs, log_xs)[0] ** 2))
-        fit = fit_gamma((xs, freqs))
+        fit = fit_gamma(SyntheticHistogram(xs, freqs))
         assert fit.model.rate > 0
         assert fit.residual_sum <= start_sse
-        assert fit.residual_sum <= fit_gamma_rate_zero((xs, freqs)).residual_sum
+        assert fit.residual_sum <= fit_gamma_rate_zero(SyntheticHistogram(xs, freqs)).residual_sum
 
     def test_deterministic_bit_identical(self):
         xs = np.arange(1, 18, dtype=float)
@@ -169,8 +173,8 @@ class TestGammaFit:
         freqs = np.asarray(
             exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs).frequencies
         ) * np.exp(rng.normal(0, 0.03, size=len(xs)))
-        a = fit_gamma((xs, freqs))
-        b = fit_gamma((xs, freqs))
+        a = fit_gamma(SyntheticHistogram(xs, freqs))
+        b = fit_gamma(SyntheticHistogram(xs, freqs))
         assert a.model == b.model
         assert a.curve == b.curve
         assert a.iterations == b.iterations
@@ -185,14 +189,14 @@ class TestGammaFit:
 
     def test_underdetermined(self):
         with pytest.raises(UnderdeterminedFitError):
-            fit_gamma((np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.1, 0.0])))
+            fit_gamma(SyntheticHistogram(np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.1, 0.0])))
 
     def test_iteration_starvation_raises_with_best_params(self, monkeypatch):
         xs = np.arange(1, 10, dtype=float)
         freqs = np.asarray(exact_histogram(GammaModel(*POOLED_DIGIT_PARAMS), xs).frequencies)
         monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 2)
         with pytest.raises(FitFailureError) as excinfo:
-            GammaFitter().fit((xs, freqs))
+            fit_gamma(SyntheticHistogram(xs, freqs))
         assert excinfo.value.best_params is not None
 
     def test_overflowing_curve_raises(self):
@@ -200,14 +204,14 @@ class TestGammaFit:
         underflows to a subnormal and the curve's exp() overflows."""
         xs = np.array([100.0, 200.0, 300.0])
         freqs = (xs / 300.0) ** 130
-        for fitter in (GammaFitter(), GammaFitter(rate_zero=True)):
+        for fit in (fit_gamma, fit_gamma_rate_zero):
             with pytest.raises(FitFailureError, match="non-finite curve"):
-                fitter.fit((xs, freqs))
+                fit(SyntheticHistogram(xs, freqs))
 
     def test_residual_matches_independent_recomputation(self):
         xs = np.arange(1, 10, dtype=float)
         freqs = np.array([0.3, 0.2, 0.15, 0.1, 0.08, 0.07, 0.05, 0.03, 0.02])
-        fit = fit_gamma((xs, freqs))
+        fit = fit_gamma(SyntheticHistogram(xs, freqs))
         recomputed = float(np.sum((freqs - np.asarray(fit.curve)) ** 2))
         assert fit.residual_sum == pytest.approx(recomputed, abs=1e-9)
 
@@ -230,8 +234,8 @@ def test_gamma_fit_is_finite_and_dominates_nested_fit(frequencies):
     xs = np.arange(1, len(frequencies) + 1, dtype=float)
     started = time.perf_counter()
     try:
-        full = fit_gamma((xs, frequencies))
-        nested = fit_gamma_rate_zero((xs, frequencies))
+        full = fit_gamma(SyntheticHistogram(xs, frequencies))
+        nested = fit_gamma_rate_zero(SyntheticHistogram(xs, frequencies))
     except NumlawsError:
         pass
     else:
@@ -244,7 +248,7 @@ def test_gamma_fit_is_finite_and_dominates_nested_fit(frequencies):
 class TestGammaRateZeroFit:
     def test_pure_power_law_recovered_exactly(self):
         xs = np.arange(1, 13, dtype=float)
-        fit = fit_gamma_rate_zero((xs, 1.0 / xs))
+        fit = fit_gamma_rate_zero(SyntheticHistogram(xs, 1.0 / xs))
         assert fit.model.rate == 0.0
         assert fit.model.shape == pytest.approx(0.0, abs=1e-6)
         assert fit.scores.r_squared >= 1 - 1e-9
@@ -277,11 +281,11 @@ class TestGammaRateZeroFit:
 class TestZipfOnLengths:
     def test_exact_power_law_lengths(self):
         xs = np.arange(1, 9, dtype=float)
-        fit = fit_zipf_on_lengths((xs, 0.6 / xs**1.2))
+        fit = fit_zipf_on_lengths(SyntheticHistogram(xs, 0.6 / xs**1.2))
         assert fit.scores.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_two_point_histogram_interpolates(self):
-        fit = fit_zipf_on_lengths((np.array([1.0, 2.0]), np.array([0.7, 0.3])))
+        fit = fit_zipf_on_lengths(SyntheticHistogram(np.array([1.0, 2.0]), np.array([0.7, 0.3])))
         assert fit.scores.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_tail_beats_zipf(self):
@@ -339,7 +343,7 @@ class TestPooledFit:
 class TestFitResultContract:
     def test_serialization_keys(self):
         xs = np.arange(1, 10, dtype=float)
-        payload = fit_benford((xs, np.log10(1 + 1 / xs))).to_dict()
+        payload = fit_benford(SyntheticHistogram(xs, np.log10(1 + 1 / xs))).to_dict()
         assert set(payload) == {
             "model",
             "params",
@@ -354,42 +358,3 @@ class TestFitResultContract:
         assert payload["model"] == "benford"
         assert len(payload["fitted"]) == len(payload["support"])
 
-
-class TestEstimatorProtocol:
-    def test_get_set_params_round_trip(self):
-        fitter = GammaFitter(rate_zero=True)
-        assert fitter.get_params() == {"rate_zero": True}
-        fitter.set_params(rate_zero=False)
-        assert fitter.rate_zero is False
-        assert GammaFitter().get_params() == {"rate_zero": False}
-        with pytest.raises(ValueError):
-            fitter.set_params(bogus=1)
-
-    def test_params_and_repr_of_every_fitter(self):
-        """Fitters without their own __init__ have no parameters."""
-        assert BenfordFitter().get_params() == {}
-        assert ZipfFitter().get_params() == {}
-        assert repr(BenfordFitter()) == "BenfordFitter()"
-        assert repr(ZipfFitter()) == "ZipfFitter()"
-        assert repr(GammaFitter(rate_zero=True)) == (
-            "GammaFitter(rate_zero=True)"
-        )
-
-    def test_predict_before_fit_raises(self):
-        for fitter in (BenfordFitter(), ZipfFitter(), GammaFitter()):
-            with pytest.raises(NotFittedError):
-                fitter.predict([1.0, 2.0])
-
-    def test_predict_evaluates_fitted_curve_elsewhere(self):
-        ranks = np.arange(1, 30, dtype=float)
-        fitter = ZipfFitter().fit((ranks, 0.2 / ranks**0.6))
-        np.testing.assert_allclose(
-            fitter.predict([40.0]), [0.2 / 40.0**0.6], rtol=1e-9
-        )
-
-    def test_sklearn_clone_compatibility(self):
-        sklearn_base = pytest.importorskip("sklearn.base")
-        fitter = GammaFitter(rate_zero=True)
-        cloned = sklearn_base.clone(fitter)
-        assert cloned.get_params() == fitter.get_params()
-        assert cloned is not fitter

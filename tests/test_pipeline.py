@@ -16,6 +16,7 @@ from numlaws import (
     AnalysisConfig,
     GammaModel,
     NumberCorpus,
+    SyntheticHistogram,
     analyze_dimension,
     benford_pmf,
     build_report,
@@ -159,7 +160,7 @@ class TestLengthSection:
 class TestCurveCompare:
     def test_identical_fits_give_identical_series(self):
         xs = np.arange(1, 10, dtype=float)
-        fit = fit_gamma((xs, POOLED_DIGIT_PMF))
+        fit = fit_gamma(SyntheticHistogram(xs, POOLED_DIGIT_PMF))
         series = curve_compare(fit, fit)
         assert series.normalized_a == series.normalized_b
         assert series.abs_derivative_a == series.abs_derivative_b
@@ -167,22 +168,26 @@ class TestCurveCompare:
     def test_digit_curve_steeper_than_length_curve_at_low_ranks(self):
         """Direct evaluation: the pooled digit curve falls faster at small
         support values than the nearly flat pooled length curve."""
-        digit_fit = fit_gamma((np.arange(1, 10, dtype=float), POOLED_DIGIT_PMF))
-        length_fit = fit_gamma((np.arange(1, 13, dtype=float), POOLED_LENGTH_PMF))
+        digit_fit = fit_gamma(
+            SyntheticHistogram(np.arange(1, 10, dtype=float), POOLED_DIGIT_PMF)
+        )
+        length_fit = fit_gamma(
+            SyntheticHistogram(np.arange(1, 13, dtype=float), POOLED_LENGTH_PMF)
+        )
         series = curve_compare(digit_fit, length_fit)
         for i in range(3):
             assert series.abs_derivative_a[i] > series.abs_derivative_b[i]
 
     def test_constant_curve_has_zero_derivative(self):
         xs = np.arange(1, 6, dtype=float)
-        fit = fit_gamma((xs, np.full(5, 0.2)))
+        fit = fit_gamma(SyntheticHistogram(xs, np.full(5, 0.2)))
         series = curve_compare(fit, fit)
         assert all(d <= 1e-12 for d in series.abs_derivative_a)
 
     def test_rejects_non_gamma_fits(self):
         xs = np.arange(1, 10, dtype=float)
-        gamma = fit_gamma((xs, POOLED_DIGIT_PMF))
-        benford = fit_benford((xs, np.log10(1 + 1 / xs)))
+        gamma = fit_gamma(SyntheticHistogram(xs, POOLED_DIGIT_PMF))
+        benford = fit_benford(SyntheticHistogram(xs, np.log10(1 + 1 / xs)))
         with pytest.raises(TypeError):
             curve_compare(benford, gamma)
 
@@ -210,7 +215,7 @@ class TestTrendDetection:
 
     def test_accepts_fit_results(self):
         xs = np.arange(1, 10, dtype=float)
-        fit = fit_benford((xs, np.log10(1 + 1 / xs)))
+        fit = fit_benford(SyntheticHistogram(xs, np.log10(1 + 1 / xs)))
         finding = trend_over_years({2017: fit, 2018: fit, 2019: fit})
         assert finding.values == (1.0, 1.0, 1.0)
 
@@ -230,6 +235,12 @@ class TestBuildReport:
     def test_unknown_analysis_rejected(self):
         with pytest.raises(ValueError):
             AnalysisConfig(analyses=("first_digit", "volume"))
+
+    def test_repeated_analysis_rejected(self):
+        """A repeated dimension would appear twice in the provenance and
+        give every trend of it twice."""
+        with pytest.raises(ValueError, match="repeated analyses"):
+            AnalysisConfig(analyses=("first_digit", "length", "first_digit"))
 
     def test_byte_identical_reports(self):
         corpus = sample_zipf_values(3000, alpha=0.75, support_size=100, seed=2)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .corpus import corpus_stats
 from .errors import IngestError, NumlawsError
-from .extract import ExtractionRules, read_csv_corpus, read_text_corpus
+from .extract import read_csv_corpus, read_text_corpus
 from .fitting import fit_gamma, fit_zipf
 from .pipeline import (
     DIMENSIONS,
@@ -49,12 +49,12 @@ def _sig5(x) -> str:
     return f"{x:.5g}"
 
 
-def _load_corpus(path: str, csv_column, rules: ExtractionRules, year=None):
+def _load_corpus(path: str, csv_column, year=None):
     path = Path(path)
     if csv_column is not None or path.suffix.lower() == ".csv":
         column = csv_column if csv_column is not None else 0
-        return read_csv_corpus(path, column, rules, year=year)
-    return read_text_corpus(path, rules, year=year)
+        return read_csv_corpus(path, column, year=year)
+    return read_text_corpus(path, year=year)
 
 
 def _dimension_name(name: str) -> str:
@@ -78,7 +78,7 @@ def _parse_year_map(spec: str | None) -> dict[str, int]:
 
 
 def cmd_stats(args) -> int:
-    corpus = _load_corpus(args.input, args.csv_column, ExtractionRules())
+    corpus = _load_corpus(args.input, args.csv_column)
     stats = corpus_stats(corpus)
     print(json.dumps(stats.to_dict(), sort_keys=True))
     return EXIT_OK
@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
     for path in args.input:
         stem = Path(path).stem
         year = year_map.get(stem, year_map.get(Path(path).name))
-        corpora.append(_load_corpus(path, args.csv_column, config.rules, year=year))
+        corpora.append(_load_corpus(path, args.csv_column, year=year))
         names.append(Path(path).name)
     report = build_report(corpora, config, inputs=names)
 
@@ -208,7 +208,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_cutoff(args) -> int:
-    corpus = _load_corpus(args.input, args.csv_column, ExtractionRules())
+    corpus = _load_corpus(args.input, args.csv_column)
     dimension = _dimension_name(args.dimension)
     view = DIMENSIONS[dimension].view.from_corpus(corpus)
     fit = fit_zipf(view) if args.system == "zipf" else fit_gamma(view)

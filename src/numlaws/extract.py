@@ -1,16 +1,17 @@
 """Integer token extraction from plain text and CSV sources.
 
-Filtering rules, applied mechanically and deterministically:
+One fixed rule set, applied by one compiled pattern in a single pass:
 
-- tokens containing a decimal fraction are dropped whole, never truncated,
-- thousands separators (comma and thin/narrow spaces) are stripped; a
-  separator counts only before a group of exactly three digits, so
-  "1,2,3" is three numbers,
-- a digit run immediately followed by a footnote marker character (the
-  superscripted-annotation style) is dropped,
-- parenthesized accounting negatives contribute their absolute value; a
-  leading minus sign is likewise ignored (magnitudes are what the digit
-  laws describe),
+- a token is a maximal run of digits, optionally continued by groups of
+  exactly three digits each led by a thousands separator (comma, thin
+  space U+2009 or narrow no-break space U+202F); the separators are
+  stripped, and "1,2,3" is three numbers,
+- a run that is part of a decimal ("3.14", "1.2.3") is dropped whole,
+  never truncated,
+- a run immediately followed by a footnote marker (``FOOTNOTE_MARKERS``,
+  the superscripted-annotation style) is dropped,
+- signs and accounting parentheses are not part of a token, so
+  "(1,250)" and "-300" contribute their magnitudes,
 - every other digit run is a token, whatever surrounds it: a date
   "2019-12-31" gives 2019, 12 and 31, a fiscal tag "FY2019" gives 2019,
   and note numbers count like any other number.
@@ -20,105 +21,65 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
-from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import NumberCorpus
 from .errors import EmptyCorpusError, IngestError
 
-_DEFAULT_SEPARATORS = ",  "
-_DEFAULT_MARKERS = "^*†‡¹²³⁰⁴⁵⁶⁷⁸⁹"
+THOUSANDS_SEPARATORS = ",\u2009\u202f"
+FOOTNOTE_MARKERS = "^*†‡¹²³⁰⁴⁵⁶⁷⁸⁹"
+
+_SEPARATOR = f"[{re.escape(THOUSANDS_SEPARATORS)}]"
+_GROUP = rf"{_SEPARATOR}[0-9]{{3}}(?![0-9])"
+# No digit or dot before the run ("1.2.3" must not leak "3").  The
+# lookahead rejects a run that goes on (a digit or a further group), so a
+# match is always the whole run, and then rejects the whole run when a
+# decimal fraction or a footnote marker follows it.
+_TOKEN = re.compile(
+    rf"(?<![0-9.])[0-9]+(?:{_GROUP})*"
+    rf"(?![0-9]|{_GROUP}|\.[0-9]|[{re.escape(FOOTNOTE_MARKERS)}])"
+)
+_strip_separators = partial(re.compile(_SEPARATOR).sub, "")
 
 
-@dataclass(frozen=True)
-class ExtractionRules:
-    """Configurable separator and exclusion characters.
-
-    ``thousands_separators`` are stripped inside digit runs; a period is
-    always a decimal marker.  ``footnote_markers`` invalidate the digit
-    run they immediately follow.
-    """
-
-    thousands_separators: str = _DEFAULT_SEPARATORS
-    footnote_markers: str = _DEFAULT_MARKERS
-
-    def token_pattern(self) -> re.Pattern:
-        # a separator joins only a group of exactly three digits, so "1,2,3"
-        # and "12,34" stay separate numbers; with no separators there is no
-        # group, since an empty class "[]" would swallow the "]" after it
-        groups = ""
-        if self.thousands_separators:
-            seps = re.escape(self.thousands_separators)
-            groups = rf"(?:[{seps}][0-9]{{3}}(?![0-9]))*"
-        # no digit or dot directly before the token: "1.2.3" must not leak "3"
-        return re.compile(rf"(?<![0-9.])([0-9]+{groups})(\.[0-9]+)?")
-
-    def to_dict(self):
-        return {
-            "thousands_separators": self.thousands_separators,
-            "footnote_markers": self.footnote_markers,
-        }
-
-
-def _token_value(digits: str, rules: ExtractionRules) -> int:
-    """The integer a matched digit run prints, its separators stripped."""
-    for sep in rules.thousands_separators:
-        digits = digits.replace(sep, "")
+def _integers(tokens) -> tuple[int, ...]:
+    """The integers the token strings print, their separators stripped."""
     try:
-        return int(digits)
+        return tuple(map(int, map(_strip_separators, tokens)))
     except ValueError:  # beyond the interpreter's integer string conversion limit
-        raise IngestError(
-            f"integer token of {len(digits)} digits cannot be converted"
-        ) from None
-
-
-def iter_integer_tokens(text: str, rules: ExtractionRules | None = None):
-    """Yield integer values from ``text`` in document order."""
-    rules = rules or ExtractionRules()
-    pattern = rules.token_pattern()
-    for match in pattern.finditer(text):
-        if match.group(2) is not None:
-            continue  # decimal fraction: drop the whole token
-        end = match.end()
-        if end < len(text) and text[end] in rules.footnote_markers:
-            continue  # superscript-style footnote annotation
-        yield _token_value(match.group(1), rules)
+        raise IngestError("an integer token has too many digits to convert") from None
 
 
 def extract_numbers(
-    text: str,
-    rules: ExtractionRules | None = None,
-    label: str = "corpus",
-    year: int | None = None,
+    text: str, label: str = "corpus", year: int | None = None
 ) -> NumberCorpus:
-    """Extract all integer tokens from ``text`` into a corpus.
+    """Extract all integer tokens from ``text``, in document order.
 
     Raises EmptyCorpusError when no token survives the filtering rules.
     """
-    values = tuple(iter_integer_tokens(text, rules))
+    values = _integers(map(itemgetter(0), _TOKEN.finditer(text)))
     if not values:
         raise EmptyCorpusError(f"no integer tokens found for {label!r}")
     return NumberCorpus(label=label, values=values, year=year)
 
 
-def parse_cell(cell: str, rules: ExtractionRules | None = None) -> int | None:
+def parse_cell(cell: str) -> int | None:
     """Parse one CSV cell as a single integer, or None if it is not one."""
-    rules = rules or ExtractionRules()
-    cell = cell.strip()
+    # a sign outside or inside accounting parentheses: "-(48)", "(-48)"
+    cell = cell.strip().removeprefix("-").lstrip()
     if cell.startswith("(") and cell.endswith(")"):
-        cell = cell[1:-1].strip()
-    if cell.startswith("-"):
-        cell = cell[1:].strip()
-    match = rules.token_pattern().fullmatch(cell)
-    if match is None or match.group(2) is not None:
-        return None
-    return _token_value(match.group(1), rules)
+        cell = cell[1:-1].strip().removeprefix("-").lstrip()
+    match = _TOKEN.fullmatch(cell)
+    return None if match is None else _integers((match[0],))[0]
 
 
 def _decode(path: Path) -> str:
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not valid UTF-8 text ({exc})") from exc
     except OSError as exc:
@@ -126,44 +87,36 @@ def _decode(path: Path) -> str:
 
 
 def read_text_corpus(
-    path,
-    rules: ExtractionRules | None = None,
-    label: str | None = None,
-    year: int | None = None,
+    path, label: str | None = None, year: int | None = None
 ) -> NumberCorpus:
     path = Path(path)
-    return extract_numbers(_decode(path), rules, label or path.stem, year)
+    return extract_numbers(_decode(path), label or path.stem, year)
 
 
 def read_csv_corpus(
-    path,
-    column,
-    rules: ExtractionRules | None = None,
-    label: str | None = None,
-    year: int | None = None,
+    path, column, label: str | None = None, year: int | None = None
 ) -> NumberCorpus:
-    """Extract one numeric CSV column, selected by header name or 0-based index."""
+    """Extract one numeric CSV column.
+
+    A string that names a header cell selects that column, even a digit
+    string such as a fiscal year; any other string of decimal digits, or
+    an int, is a 0-based index.
+    """
     path = Path(path)
-    text = _decode(path)
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    rows = csv.reader(io.StringIO(_decode(path)))
+    header = next(rows, None)
+    if header is None:
         raise EmptyCorpusError(f"{path}: empty CSV")
-    if isinstance(column, str) and not column.isdigit():
-        header, rows = rows[0], rows[1:]
-        try:
-            index = header.index(column)
-        except ValueError:
-            raise IngestError(f"{path}: no column named {column!r}") from None
+    if isinstance(column, str) and column in header:
+        index = header.index(column)
+    elif isinstance(column, str) and not column.isdecimal():
+        raise IngestError(f"{path}: no column named {column!r}")
     else:
         index = int(column)
-        if rows and all(parse_cell(c, rules) is None for c in rows[0]):
-            rows = rows[1:]  # tolerate a header row under index selection
-    values = []
-    for row in rows:
-        if index < len(row):
-            value = parse_cell(row[index], rules)
-            if value is not None:
-                values.append(value)
+        if any(parse_cell(c) is not None for c in header):
+            rows = itertools.chain([header], rows)  # a data row, not a header
+    cells = (row[index] for row in rows if index < len(row))
+    values = tuple(v for v in map(parse_cell, cells) if v is not None)
     if not values:
         raise EmptyCorpusError(f"{path}: column {column!r} has no integer values")
-    return NumberCorpus(label=label or path.stem, values=tuple(values), year=year)
+    return NumberCorpus(label=label or path.stem, values=values, year=year)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -41,7 +41,7 @@ from .cutoff import (
     estimate_cutoff_zipf,
 )
 from .errors import InsufficientDataError, NumlawsError
-from .extract import ExtractionRules
+from .extract import FOOTNOTE_MARKERS, THOUSANDS_SEPARATORS
 from .fitting import (
     FitResult,
     fit_benford,
@@ -117,7 +117,6 @@ DIMENSIONS = {
 class AnalysisConfig:
     analyses: tuple[str, ...] = tuple(DIMENSIONS)
     cutoff: bool = False
-    rules: ExtractionRules = field(default_factory=ExtractionRules)
 
     def __post_init__(self):
         bad = set(self.analyses) - set(DIMENSIONS)
@@ -484,7 +483,10 @@ def build_report(corpora, config: AnalysisConfig | None = None, inputs=None) -> 
     anomalies = _collect_anomalies(analyses, trends)
     provenance = {
         "inputs": list(inputs) if inputs else [c.label for c in corpora],
-        "rules": config.rules.to_dict(),
+        "rules": {
+            "thousands_separators": THOUSANDS_SEPARATORS,
+            "footnote_markers": FOOTNOTE_MARKERS,
+        },
         "analyses": list(config.analyses),
         "cutoff": config.cutoff,
     }

@@ -98,22 +98,26 @@ def read_csv_corpus(
 ) -> NumberCorpus:
     """Extract one numeric CSV column.
 
-    A string that names a header cell selects that column, even a digit
-    string such as a fiscal year; any other string of decimal digits, or
-    an int, is a 0-based index.
+    A string of decimal digits, or an int, is a 0-based index, unless the
+    first row is a header (one of its cells is not an integer) and the
+    string names one of its cells, such as a fiscal year; any other string
+    is a column name.
     """
     path = Path(path)
     rows = csv.reader(io.StringIO(_decode(path)))
     header = next(rows, None)
     if header is None:
         raise EmptyCorpusError(f"{path}: empty CSV")
-    if isinstance(column, str) and column in header:
+    integer_cells = [parse_cell(c) is not None for c in header]
+    if isinstance(column, str) and (
+        not column.isdecimal() or (column in header and not all(integer_cells))
+    ):
+        if column not in header:
+            raise IngestError(f"{path}: no column named {column!r}")
         index = header.index(column)
-    elif isinstance(column, str) and not column.isdecimal():
-        raise IngestError(f"{path}: no column named {column!r}")
     else:
         index = int(column)
-        if any(parse_cell(c) is not None for c in header):
+        if any(integer_cells):
             rows = itertools.chain([header], rows)  # a data row, not a header
     cells = (row[index] for row in rows if index < len(row))
     values = tuple(v for v in map(parse_cell, cells) if v is not None)

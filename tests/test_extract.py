@@ -146,14 +146,21 @@ class TestFileIngestion:
         path = tmp_path / "t.csv"
         path.write_text("item,2018,2019\nsales,10,20\ncost,30,40\n", encoding="utf-8")
         assert read_csv_corpus(path, "2019").values == (20, 40)
-        # a digit string that names no header cell stays a 0-based index
-        assert read_csv_corpus(path, "1").values == (2018, 10, 30)
+
+    def test_csv_headerless_first_row_is_data_under_a_digit_string(self, tmp_path):
+        """A first row of integers is no header, so a cell equal to the
+        index string does not select its column."""
+        path = tmp_path / "t.csv"
+        path.write_text("1,500\n2,700\n", encoding="utf-8")
+        assert read_csv_corpus(path, "1").values == (500, 700)
 
     def test_csv_column_by_index(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n10,20\n30,40\n", encoding="utf-8")
         corpus = read_csv_corpus(path, 1)
         assert corpus.values == (20, 40)
+        # a digit string that names no header cell is an index too
+        assert read_csv_corpus(path, "1").values == (20, 40)
 
     def test_csv_missing_column(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -181,8 +188,6 @@ class TestFileIngestion:
 # The extractor as it stood before one pattern did all the filtering, kept
 # as the oracle: match a digit run with its three-digit groups and any
 # decimal part, then skip decimals and runs a footnote marker follows.
-# The cell oracle peels a sign and parentheses in either order, as
-# parse_cell does since "-(48)" became 48.
 _SEPARATOR_CLASS = f"[{re.escape(THOUSANDS_SEPARATORS)}]"
 _ORACLE = re.compile(
     rf"(?<![0-9.])([0-9]+(?:{_SEPARATOR_CLASS}[0-9]{{3}}(?![0-9]))*)(\.[0-9]+)?"
@@ -206,9 +211,11 @@ def oracle_tokens(text):
 
 
 def oracle_cell(cell):
-    cell = cell.strip().removeprefix("-").lstrip()
+    cell = cell.strip()
     if cell.startswith("(") and cell.endswith(")"):
-        cell = cell[1:-1].strip().removeprefix("-").lstrip()
+        cell = cell[1:-1].strip()
+    if cell.startswith("-"):
+        cell = cell[1:].strip()
     match = _ORACLE.fullmatch(cell)
     if match is None or match.group(2) is not None:
         return None
@@ -245,4 +252,11 @@ class TestAgainstOracle:
     @settings(max_examples=3000, deadline=None)
     @given(_CELLS)
     def test_parse_cell(self, cell):
-        assert parse_cell(cell) == oracle_cell(cell)
+        """A cell means what it meant to the old parser, except that a sign
+        before parentheses, which it read as no integer, now reads as the
+        parentheses alone ("-(48)" as "(48)")."""
+        old_form = cell.strip()
+        unsigned = old_form[1:].strip()
+        if old_form.startswith("-") and unsigned.startswith("(") and unsigned.endswith(")"):
+            old_form = unsigned
+        assert parse_cell(cell) == oracle_cell(old_form)

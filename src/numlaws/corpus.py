@@ -12,7 +12,8 @@ views feed the conformity analyses:
 
 All three views and the summary statistics depend only on how often each
 distinct value occurs, so they are built from one value->count table,
-``NumberCorpus.value_counts``, counted once per corpus.  Each view
+``NumberCorpus.value_counts``, counted when the corpus is built.  The
+range checks read that table's distinct keys too.  Each view
 inspects every distinct value once, weighted by its count, instead of
 every occurrence; ``values`` keeps the document order.
 """
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -37,14 +37,18 @@ class NumberCorpus:
     label: str
     values: tuple[int, ...]
     year: int | None = None
+    # how often each distinct value occurs: the corpus's sufficient
+    # statistic, shared by every view; do not modify it
+    value_counts: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(map(int, self.values))
         if not values:
             raise EmptyCorpusError(f"corpus {self.label!r} has no values")
-        if min(values) < 0:
+        counts = Counter(values)
+        if min(counts) < 0:
             raise ValueError(f"corpus {self.label!r} contains negative values")
-        largest = max(values)
+        largest = max(counts)
         try:
             float(largest)
         except OverflowError:
@@ -53,17 +57,10 @@ class NumberCorpus:
                 "too large to convert to a float"
             ) from None
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "value_counts", counts)
 
     def __len__(self):
         return len(self.values)
-
-    @cached_property
-    def value_counts(self) -> Counter:
-        """How often each distinct value occurs: the corpus's sufficient statistic.
-
-        Built on first use and shared by every view; do not modify it.
-        """
-        return Counter(self.values)
 
 
 def _count_by(corpus: NumberCorpus, key) -> Counter:

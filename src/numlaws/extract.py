@@ -4,8 +4,8 @@ One fixed rule set, applied by one compiled pattern in a single pass:
 
 - a token is a maximal run of digits, optionally continued by groups of
   exactly three digits each led by a thousands separator (comma, thin
-  space U+2009 or narrow no-break space U+202F); the separators are
-  stripped, and "1,2,3" is three numbers,
+  space U+2009 or narrow no-break space U+202F), and "1,2,3" is three
+  numbers,
 - a run that is part of a decimal ("3.14", "1.2.3") is dropped whole,
   never truncated,
 - a run immediately followed by a footnote marker (``FOOTNOTE_MARKERS``,
@@ -15,6 +15,12 @@ One fixed rule set, applied by one compiled pattern in a single pass:
 - every other digit run is a token, whatever surrounds it: a date
   "2019-12-31" gives 2019, 12 and 31, a fiscal tag "FY2019" gives 2019,
   and note numbers count like any other number.
+
+Before matching, the text's underscores become spaces, which no rule
+reads, and then every thousands separator becomes an underscore, so a
+token reads as a Python integer literal ("1_234") and ``int()`` strips
+its separators.  ``int()`` counts only digits against the interpreter's
+integer string conversion limit, so the underscores do not move it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import csv
 import io
 import itertools
 import re
-from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -33,8 +38,9 @@ from .errors import EmptyCorpusError, IngestError
 THOUSANDS_SEPARATORS = ",\u2009\u202f"
 FOOTNOTE_MARKERS = "^*†‡¹²³⁰⁴⁵⁶⁷⁸⁹"
 
-_SEPARATOR = f"[{re.escape(THOUSANDS_SEPARATORS)}]"
-_GROUP = rf"{_SEPARATOR}[0-9]{{3}}(?![0-9])"
+# (old, new) in order: free "_", then make it the one separator
+_SWAPS = (("_", " "), *((separator, "_") for separator in THOUSANDS_SEPARATORS))
+_GROUP = r"_[0-9]{3}(?![0-9])"
 # No digit or dot before the run ("1.2.3" must not leak "3").  The
 # lookahead rejects a run that goes on (a digit or a further group), so a
 # match is always the whole run, and then rejects the whole run when a
@@ -43,13 +49,19 @@ _TOKEN = re.compile(
     rf"(?<![0-9.])[0-9]+(?:{_GROUP})*"
     rf"(?![0-9]|{_GROUP}|\.[0-9]|[{re.escape(FOOTNOTE_MARKERS)}])"
 )
-_strip_separators = partial(re.compile(_SEPARATOR).sub, "")
+
+
+def _swap_separators(text: str) -> str:
+    """``text`` with "_" as its only thousands separator (see the module doc)."""
+    for old, new in _SWAPS:
+        text = text.replace(old, new)  # the same object when nothing is replaced
+    return text
 
 
 def _integers(tokens) -> tuple[int, ...]:
-    """The integers the token strings print, their separators stripped."""
+    """The integers the token strings print; ``int()`` strips their "_"."""
     try:
-        return tuple(map(int, map(_strip_separators, tokens)))
+        return tuple(map(int, tokens))
     except ValueError:  # beyond the interpreter's integer string conversion limit
         raise IngestError("an integer token has too many digits to convert") from None
 
@@ -61,7 +73,7 @@ def extract_numbers(
 
     Raises EmptyCorpusError when no token survives the filtering rules.
     """
-    values = _integers(map(itemgetter(0), _TOKEN.finditer(text)))
+    values = _integers(map(itemgetter(0), _TOKEN.finditer(_swap_separators(text))))
     if not values:
         raise EmptyCorpusError(f"no integer tokens found for {label!r}")
     return NumberCorpus(label=label, values=values, year=year)
@@ -73,7 +85,7 @@ def parse_cell(cell: str) -> int | None:
     cell = cell.strip().removeprefix("-").lstrip()
     if cell.startswith("(") and cell.endswith(")"):
         cell = cell[1:-1].strip().removeprefix("-").lstrip()
-    match = _TOKEN.fullmatch(cell)
+    match = _TOKEN.fullmatch(_swap_separators(cell))
     return None if match is None else _integers((match[0],))[0]
 
 
@@ -98,26 +110,26 @@ def read_csv_corpus(
 ) -> NumberCorpus:
     """Extract one numeric CSV column.
 
-    A string of decimal digits, or an int, is a 0-based index, unless the
-    first row is a header (one of its cells is not an integer) and the
-    string names one of its cells, such as a fiscal year; any other string
-    is a column name.
+    The first row is a header when one of its cells is not an integer, and
+    data otherwise.  A string of decimal digits, or an int, is a 0-based
+    index, unless the string names a header cell, such as a fiscal year;
+    any other string is a column name.
     """
     path = Path(path)
     rows = csv.reader(io.StringIO(_decode(path)))
     header = next(rows, None)
     if header is None:
         raise EmptyCorpusError(f"{path}: empty CSV")
-    integer_cells = [parse_cell(c) is not None for c in header]
+    is_header = not all(parse_cell(c) is not None for c in header)
     if isinstance(column, str) and (
-        not column.isdecimal() or (column in header and not all(integer_cells))
+        not column.isdecimal() or (is_header and column in header)
     ):
         if column not in header:
             raise IngestError(f"{path}: no column named {column!r}")
         index = header.index(column)
     else:
         index = int(column)
-        if any(integer_cells):
+        if not is_header:
             rows = itertools.chain([header], rows)  # a data row, not a header
     cells = (row[index] for row in rows if index < len(row))
     values = tuple(v for v in map(parse_cell, cells) if v is not None)

@@ -499,20 +499,54 @@ def build_report(corpora, config: AnalysisConfig | None = None, inputs=None) -> 
     )
 
 
-def _sanitize(obj):
-    """Map non-finite floats to None so the report is strict JSON."""
+_encode_string = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj, pad: str = "\n") -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it,
+    with every non-finite float as null so the report is strict JSON.
+
+    ``pad`` is the newline and indent that close ``obj``.  An array of
+    only exact ints, or of only finite exact floats, is written by one
+    join; ``json`` would call its Python encoder once per element.
+    """
+    if isinstance(obj, str):
+        return _encode_string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
+    inner = pad + "  "
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif kinds == {float} and all(map(math.isfinite, obj)):
+            items = map(float.__repr__, obj)
+        else:
+            items = (_encode(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            _encode_string(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def report_to_json(report: AnalysisReport) -> str:
     """Canonical JSON serialization: sorted keys, full float precision."""
-    return json.dumps(_sanitize(report.to_dict()), sort_keys=True, indent=2) + "\n"
+    return _encode(report.to_dict()) + "\n"
 
 
 def write_plot_bundles(report: AnalysisReport, out_dir) -> list:

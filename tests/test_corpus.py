@@ -1,5 +1,6 @@
 """Corpus types, summary statistics and the three observed distributions."""
 
+import dataclasses
 import statistics
 from collections import Counter
 
@@ -48,6 +49,28 @@ class TestNumberCorpus:
         corpus = make_corpus([5, 5, 5, 1])
         assert corpus.values == (5, 5, 5, 1)
         assert len(corpus) == 4
+
+    def test_counted_at_construction(self):
+        corpus = make_corpus([5, 5, 5, 1])
+        assert vars(corpus)["value_counts"] == Counter({5: 3, 1: 1})
+
+    def test_equality_hash_and_repr_ignore_the_counts(self):
+        a, b = make_corpus([5, 1, 5]), make_corpus([5, 1, 5])
+        b.value_counts[7] = 1  # a table nobody should modify, but one that differs
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == "NumberCorpus(label='t', values=(5, 1, 5), year=None)"
+        assert a != make_corpus([1, 5, 5])
+
+    def test_replace_recounts_and_rechecks(self):
+        corpus = make_corpus([5, 5, 1])
+        replaced = dataclasses.replace(corpus, values=(2, 2, 2))
+        assert replaced.value_counts == Counter({2: 3})
+        assert corpus.value_counts == Counter({5: 2, 1: 1})
+        with pytest.raises(ValueError):
+            dataclasses.replace(corpus, values=(2, -2))
+        with pytest.raises(IngestError):
+            dataclasses.replace(corpus, values=(2, 10**400))
 
 
 class TestCorpusStats:

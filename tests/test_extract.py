@@ -65,6 +65,21 @@ class TestTextExtraction:
         with pytest.raises(IngestError):
             parse_cell("9" * 5000)
 
+    def test_grouped_token_at_the_digit_limit_converts(self):
+        """The conversion limit counts digits, not the separators between
+        groups; the value then fails only the corpus's float range check."""
+        grouped = "9" + ",999" * 1433  # 4300 digits
+        assert parse_cell(grouped) == 10**4300 - 1
+        with pytest.raises(IngestError, match="too large to convert to a float"):
+            extract_numbers(f"total {grouped}")
+
+    def test_grouped_token_over_the_digit_limit_is_an_ingest_error(self):
+        grouped = "99" + ",999" * 1433  # 4301 digits
+        with pytest.raises(IngestError, match="too many digits"):
+            extract_numbers(f"total {grouped}")
+        with pytest.raises(IngestError, match="too many digits"):
+            parse_cell(grouped)
+
     def test_no_tokens_raises(self):
         with pytest.raises(EmptyCorpusError):
             extract_numbers("only words, 3.5 decimals")
@@ -91,6 +106,8 @@ class TestTextExtraction:
             # dates and fiscal tags are digit runs like any other
             ("2019-12-31", (2019, 12, 31)),
             ("FY2019", (2019,)),
+            # an underscore is no separator
+            ("1_234 and 5_", (1, 234, 5)),
         ],
     )
     def test_separator_joins_only_three_digit_groups(self, text, expected):
@@ -113,6 +130,7 @@ class TestParseCell:
             ("-(48)", 48),
             ("-300", 300),
             ("3.14", None),
+            ("1_250", None),
             ("n/a", None),
             ("", None),
         ],
@@ -153,6 +171,14 @@ class TestFileIngestion:
         path = tmp_path / "t.csv"
         path.write_text("1,500\n2,700\n", encoding="utf-8")
         assert read_csv_corpus(path, "1").values == (500, 700)
+
+    def test_csv_header_with_integer_cells_is_skipped_under_an_index(self, tmp_path):
+        """One non-integer cell makes the first row a header, whatever
+        selects the column."""
+        path = tmp_path / "t.csv"
+        path.write_text("item,2018,2019\na,10,20\nb,30,40\n", encoding="utf-8")
+        assert read_csv_corpus(path, "1").values == (10, 30)
+        assert read_csv_corpus(path, 1).values == (10, 30)
 
     def test_csv_column_by_index(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -223,7 +249,7 @@ def oracle_cell(cell):
 
 
 # digits weighted up, so that runs, groups and decimals are common
-_ALPHABET = "0123456789" * 3 + THOUSANDS_SEPARATORS + ".-()" + FOOTNOTE_MARKERS + "aZx \n"
+_ALPHABET = "0123456789" * 3 + THOUSANDS_SEPARATORS + "_.-()" + FOOTNOTE_MARKERS + "aZx \n"
 _TEXTS = st.text(st.sampled_from(_ALPHABET), min_size=5, max_size=60)
 # short bodies inside the signs and parentheses a cell may carry
 _CELLS = st.builds(

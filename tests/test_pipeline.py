@@ -33,6 +33,7 @@ from numlaws import (
     write_plot_bundles,
 )
 from numlaws.errors import InsufficientDataError, NumlawsError
+from numlaws.pipeline import _encode
 
 
 def load_perfbench_workloads():
@@ -404,3 +405,46 @@ def test_report_or_typed_error_within_time_bound(value_counts):
     except NumlawsError:
         pass
     assert time.perf_counter() - started < REPORT_SECONDS
+
+
+def sanitize(obj):
+    """The report writer's old pre-pass to ``json.dumps``, kept as the
+    oracle: every non-finite float becomes None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    return obj
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.floats().map(np.float64)  # a float subclass, as numpy results are
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**63, -(2**63) - 1])
+    | st.text()
+)
+# arrays of one exact type, which the writer joins in one call
+_UNIFORM_ARRAYS = (
+    st.lists(st.integers(min_value=-(2**80), max_value=2**80))
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False))
+    | st.lists(st.floats())
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS | _UNIFORM_ARRAYS,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DOCUMENTS)
+@example({"b": [1, 2], "a": {"x": [0.5, math.nan], "y": ((), {})}, "é": "ü"})
+def test_encode_matches_json_dumps_of_the_sanitized_document(document):
+    assert _encode(document) == json.dumps(sanitize(document), sort_keys=True, indent=2)

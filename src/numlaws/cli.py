@@ -10,6 +10,7 @@ keeps full precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -80,7 +81,7 @@ def _parse_year_map(spec: str | None) -> dict[str, int]:
 def cmd_stats(args) -> int:
     corpus = _load_corpus(args.input, args.csv_column)
     stats = corpus_stats(corpus)
-    print(json.dumps(stats.to_dict(), sort_keys=True))
+    print(json.dumps(dataclasses.asdict(stats), sort_keys=True))
     return EXIT_OK
 
 

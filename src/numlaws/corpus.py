@@ -81,15 +81,6 @@ class CorpusStats:
     mean: float
     median: float
 
-    def to_dict(self):
-        return {
-            "observation_count": self.observation_count,
-            "max": self.max,
-            "min": self.min,
-            "mean": self.mean,
-            "median": self.median,
-        }
-
 
 def corpus_stats(corpus: NumberCorpus) -> CorpusStats:
     """Exact count/max/min, mean and sorted-middle median.
@@ -138,8 +129,28 @@ def decimal_length(n: int) -> int:
     return len(str(n))
 
 
+class _CountsView:
+    """Counts over the support 1..len(counts), and their relative frequencies.
+
+    Each view defines the ``counts`` field; fits read ``support`` and
+    ``frequencies``.
+    """
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def support(self) -> np.ndarray:
+        return np.arange(1, len(self.counts) + 1, dtype=float)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return np.asarray(self.counts, dtype=float) / self.total
+
+
 @dataclass(frozen=True)
-class DigitHistogram:
+class DigitHistogram(_CountsView):
     """Counts over first digits 1..9."""
 
     counts: tuple[int, ...]
@@ -169,21 +180,9 @@ class DigitHistogram:
             )
         return cls(tuple(digits.get(d, 0) for d in range(1, 10)))
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(1, 10, dtype=float)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.total
-
 
 @dataclass(frozen=True)
-class LengthHistogram:
+class LengthHistogram(_CountsView):
     """Counts over decimal lengths 1..L_max (dense; interior zeros kept)."""
 
     counts: tuple[int, ...]
@@ -211,21 +210,9 @@ class LengthHistogram:
         lengths = _count_by(corpus, decimal_length)
         return cls(tuple(lengths.get(k, 0) for k in range(1, max(lengths) + 1)))
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(1, len(self.counts) + 1, dtype=float)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.total
-
 
 @dataclass(frozen=True)
-class RankFrequencyTable:
+class RankFrequencyTable(_CountsView):
     """Distinct values ranked 1..V by descending count, ties by ascending value."""
 
     values: tuple[int, ...]
@@ -247,21 +234,6 @@ class RankFrequencyTable:
 
     def __len__(self):
         return len(self.values)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def ranks(self) -> np.ndarray:
-        return np.arange(1, len(self.values) + 1, dtype=float)
-
-    # the fitting support for a rank table is the rank axis
-    support = ranks
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.total
 
 
 def digit_histogram(corpus: NumberCorpus) -> DigitHistogram:

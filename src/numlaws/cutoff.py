@@ -76,8 +76,8 @@ class CutoffEstimate:
             "deviation": self.deviation,
             "converged": self.converged,
             "iterations": self.iterations,
-            "trace_head": list(self.trace[:4]),
-            "trace_tail": list(self.trace[-2:]),
+            "trace_head": self.trace[:4],
+            "trace_tail": self.trace[-2:],
         }
 
 
@@ -182,15 +182,6 @@ class BoundaryEntry:
     within_boundary: bool
     converged: bool
 
-    def to_dict(self):
-        return {
-            "dimension": self.dimension,
-            "observed_share": self.observed_share,
-            "estimated_share": self.estimated_share,
-            "within_boundary": self.within_boundary,
-            "converged": self.converged,
-        }
-
 
 @dataclass(frozen=True)
 class BoundarySummary:
@@ -198,7 +189,7 @@ class BoundarySummary:
 
     def to_dict(self):
         return {
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": self.entries,
             "reference_shares": dict(REFERENCE_BOUNDARY_SHARES),
         }
 

@@ -71,11 +71,11 @@ class FitResult:
         return {
             "model": self.model.name,
             "params": self.model.params(),
-            "support": list(self.support),
-            "observed": list(self.observed),
-            "fitted": list(self.curve),
-            "scores": self.scores.to_dict(),
-            "verdict": self.verdict.to_dict(),
+            "support": self.support,
+            "observed": self.observed,
+            "fitted": self.curve,
+            "scores": self.scores,
+            "verdict": self.verdict,
             "residual_sum": self.residual_sum,
             "iterations": self.iterations,
         }

@@ -115,14 +115,6 @@ class MetricScores:
     js: float
     mape: float
 
-    def to_dict(self):
-        return {
-            "r_squared": self.r_squared,
-            "kl": self.kl,
-            "js": self.js,
-            "mape": self.mape,
-        }
-
 
 @dataclass(frozen=True)
 class FitVerdict:
@@ -132,14 +124,6 @@ class FitVerdict:
     kl: str
     js: str
     mape: str
-
-    def to_dict(self):
-        return {
-            "r_squared": self.r_squared,
-            "kl": self.kl,
-            "js": self.js,
-            "mape": self.mape,
-        }
 
 
 def classify_fit(scores: MetricScores) -> FitVerdict:

@@ -13,13 +13,17 @@ the cutoff solve runs on, the primary model whose failure is an
 anomaly, and the observed share a boundary is compared against.
 ``analyze_dimension`` runs any dimension from its record; the CLI and
 ``AnalysisConfig`` read their dimension names from it.
+
+The ``number-law-report/1`` format lives here too: ``_encode`` writes
+each record as its fields, or as its ``to_dict()`` when its class
+defines one, so a field added to a record is written with no other edit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -141,18 +145,10 @@ class AnalysisSection:
     notes: tuple[str, ...] = ()
 
     def to_dict(self):
-        payload = {
-            "dimension": self.dimension,
-            "support": list(self.support),
-            "counts": list(self.counts),
-            "frequencies": list(self.frequencies),
-            "fits": {name: fit.to_dict() for name, fit in sorted(self.fits.items())},
-            "preferred_model": self.preferred_model,
-            "cutoff": self.cutoff.to_dict() if self.cutoff else None,
-            "notes": list(self.notes),
-        }
-        if self.values is not None:
-            payload["values"] = list(self.values)
+        # only the rank table's section writes the values it ranks
+        payload = dict(vars(self))
+        if self.values is None:
+            del payload["values"]
         return payload
 
 
@@ -166,15 +162,6 @@ class TrendFinding:
     slope: float
     flagged: bool
 
-    def to_dict(self):
-        return {
-            "metric": self.metric,
-            "years": list(self.years),
-            "values": list(self.values),
-            "slope": self.slope,
-            "flagged": self.flagged,
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonSeries:
@@ -187,9 +174,6 @@ class ComparisonSeries:
     normalized_b: tuple[float, ...]
     abs_derivative_b: tuple[float, ...]
 
-    def to_dict(self):
-        return {f.name: list(getattr(self, f.name)) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class CorpusAnalysis:
@@ -198,17 +182,6 @@ class CorpusAnalysis:
     stats: CorpusStats
     sections: dict[str, AnalysisSection]
     boundaries: BoundarySummary | None
-
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "year": self.year,
-            "stats": self.stats.to_dict(),
-            "sections": {
-                name: section.to_dict() for name, section in sorted(self.sections.items())
-            },
-            "boundaries": self.boundaries.to_dict() if self.boundaries else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -220,18 +193,7 @@ class AnalysisReport:
     anomalies: tuple[dict, ...]
 
     def to_dict(self):
-        return {
-            "schema": REPORT_SCHEMA_ID,
-            "provenance": self.provenance,
-            "corpora": [c.to_dict() for c in self.corpora],
-            "pooled": (
-                {name: fit.to_dict() for name, fit in sorted(self.pooled.items())}
-                if self.pooled
-                else None
-            ),
-            "trends": [t.to_dict() for t in self.trends],
-            "anomalies": list(self.anomalies),
-        }
+        return {"schema": REPORT_SCHEMA_ID, **vars(self)}
 
 
 def share_scale_cutoff(view, fit: FitResult):
@@ -509,6 +471,10 @@ def _encode(obj, pad: str = "\n") -> str:
     ``pad`` is the newline and indent that close ``obj``.  An array of
     only exact ints, or of only finite exact floats, is written by one
     join; ``json`` would call its Python encoder once per element.
+
+    A dataclass record is written as its ``to_dict()`` when its class
+    defines one, and otherwise as its fields, ``vars(obj)``; either may
+    hold further records, which are written by the same rule.
     """
     if isinstance(obj, str):
         return _encode_string(obj)
@@ -541,12 +507,14 @@ def _encode(obj, pad: str = "\n") -> str:
             _encode_string(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())
         )
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if is_dataclass(obj):
+        return _encode(obj.to_dict() if hasattr(obj, "to_dict") else vars(obj), pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def report_to_json(report: AnalysisReport) -> str:
     """Canonical JSON serialization: sorted keys, full float precision."""
-    return _encode(report.to_dict()) + "\n"
+    return _encode(report) + "\n"
 
 
 def write_plot_bundles(report: AnalysisReport, out_dir) -> list:

@@ -50,6 +50,14 @@ class TestStats:
     def test_missing_file(self, tmp_path):
         assert main(["stats", "--input", str(tmp_path / "nope.txt")]) == EXIT_INPUT
 
+    def test_empty_csv_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        assert main(["stats", "--input", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip("\n").endswith(f"{path}: empty CSV")
+
 
 class TestAnalyze:
     def test_benford_corpus_scores_strong(self, tmp_path, capsys):
@@ -185,6 +193,18 @@ class TestAnalyze:
             == EXIT_USAGE
         )
 
+    def test_year_map_year_not_an_integer_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            [
+                "analyze", "--input", str(DATA_DIR / "sample_corpus.txt"),
+                "--year-map", "sample_corpus=20x9", "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --year-map year is not an integer: '20x9'\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_year_map_key_naming_no_input_is_usage_error(self, tmp_path, capsys):
         corpus_file = tmp_path / "v.txt"

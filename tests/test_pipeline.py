@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,29 @@ class TestBuildReport:
         payload = json.loads(report_to_json(report))
         jsonschema.validate(payload, load_report_schema())
 
+    def test_multi_year_report_with_a_skipped_trend_validates_against_schema(self):
+        """Pooled fits, trends and boundary entries are schema-checked too.
+        The middle year holds only 1- and 2-digit values, so its length
+        section has no Gamma fits and those trends, left with two years,
+        are skipped while the others are written."""
+        jsonschema = pytest.importorskip("jsonschema")
+        corpora = [
+            sample_zipf_values(
+                3000, alpha=0.75, support_size=size, seed=50 + k,
+                label=f"y{2018 + k}", year=2018 + k,
+            )
+            for k, size in enumerate((5000, 99, 5000))
+        ]
+        assert max(corpora[1].values) < 100
+        report = build_report(corpora, AnalysisConfig(cutoff=True))
+        payload = json.loads(report_to_json(report))
+        jsonschema.validate(payload, load_report_schema())
+        assert set(payload["pooled"]) == {"first_digit", "frequency", "length"}
+        assert all(c["boundaries"]["entries"] for c in payload["corpora"])
+        metrics = {t["metric"] for t in payload["trends"]}
+        assert not any(m.startswith("length.gamma") for m in metrics)
+        assert {"length.zipf.r_squared", "frequency.zipf.r_squared"} <= metrics
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             build_report([])
@@ -409,7 +433,10 @@ def test_report_or_typed_error_within_time_bound(value_counts):
 
 def sanitize(obj):
     """The report writer's old pre-pass to ``json.dumps``, kept as the
-    oracle: every non-finite float becomes None."""
+    oracle: every non-finite float becomes None, and a record is
+    expanded into its fields."""
+    if is_dataclass(obj):
+        return sanitize(vars(obj))
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
@@ -434,11 +461,23 @@ _UNIFORM_ARRAYS = (
     | st.lists(st.floats(allow_nan=False, allow_infinity=False))
     | st.lists(st.floats())
 )
+
+
+@dataclass(frozen=True)
+class _Record:
+    """A record with no ``to_dict``, written as its fields; they are
+    declared out of sorted order."""
+
+    name: object
+    body: object
+
+
 _DOCUMENTS = st.recursive(
     _SCALARS | _UNIFORM_ARRAYS,
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
-    | st.dictionaries(st.text(), children),
+    | st.dictionaries(st.text(), children)
+    | st.builds(_Record, children, children),
     max_leaves=30,
 )
 
@@ -446,5 +485,6 @@ _DOCUMENTS = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(_DOCUMENTS)
 @example({"b": [1, 2], "a": {"x": [0.5, math.nan], "y": ((), {})}, "é": "ü"})
+@example([_Record(name="r", body=(_Record(1, math.inf), {"z": None}))])
 def test_encode_matches_json_dumps_of_the_sanitized_document(document):
     assert _encode(document) == json.dumps(sanitize(document), sort_keys=True, indent=2)

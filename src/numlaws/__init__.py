@@ -62,11 +62,9 @@ from .pipeline import (
     AnalysisConfig,
     AnalysisReport,
     AnalysisSection,
-    ComparisonSeries,
     TrendFinding,
     analyze_dimension,
     build_report,
-    curve_compare,
     report_to_json,
     trend_over_years,
     write_plot_bundles,
@@ -87,7 +85,6 @@ __all__ = [
     "AnalysisSection",
     "BenfordModel",
     "BoundarySummary",
-    "ComparisonSeries",
     "CorpusStats",
     "CutoffEstimate",
     "DigitHistogram",
@@ -106,7 +103,6 @@ __all__ = [
     "build_report",
     "classify_fit",
     "corpus_stats",
-    "curve_compare",
     "cutoff_report",
     "decimal_length",
     "digit_histogram",

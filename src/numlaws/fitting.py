@@ -14,10 +14,17 @@ so a wrapper around one of them sees exactly one call per fit.
 - ``fit_gamma`` minimizes squared error in linear frequency space by
   variable projection: the amplitude is profiled out exactly by a linear
   solve, and one Levenberg-Marquardt run refines (log rate, shape) from
-  a closed-form least-squares start in log space.
-  ``fit_gamma_rate_zero`` pins the rate to zero for the pure power-law
-  comparison variant; the full fit runs that nested fit too and keeps
-  whichever fits better.
+  a closed-form least-squares start in log space, with the exact
+  Golub-Pereyra Jacobian of the profiled residual.  The log-rate is
+  clamped to [-700, 700].  ``fit_gamma_rate_zero`` pins the rate to zero
+  for the pure power-law comparison variant; the full fit runs that
+  nested fit too and keeps whichever fits better.
+- A histogram whose squared error falls toward its infimum only as the
+  parameters grow without bound has no least-squares Gamma fit.  That
+  infimum has a closed form, and a run whose best point approaches it
+  with the curve piled onto the bins it keeps stops there; the fit is
+  then refused with ``FitFailureError`` rather than reported at an
+  arbitrary point along the way.
 """
 
 from __future__ import annotations
@@ -45,8 +52,17 @@ _RATE_FLOOR = 1e-12
 # exp(700) is near the float64 limit; at that rate every support point but
 # the first has weight 0, so a larger log-rate changes no residual
 _LOG_RATE_MAX = 700.0
+# the same bound below: exp(-700) is far under the floor, so a fit held
+# there reports the nested fit; without it the log-rate column of the
+# Jacobian sinks into subnormals as the rate goes to 0, and a run on
+# lengths (0.55, 0.23, 0.22) wanders until its evaluation bound
+_LOG_RATE_MIN = -700.0
 # rate start when the closed-form slope shows no decay
 _RATE_START = 1e-3
+# a point whose SSE is within this relative distance of the SSE's limit at
+# infinite parameters, and whose curve has all but this share of its
+# squared mass on the bins that limit keeps, is on its way to infinity
+_BOUNDARY_TOL = 1e-3
 # each Levenberg-Marquardt run: its bound on function evaluations, its step
 # tolerance, and its relative-reduction and gradient tolerance
 _MAX_EVALUATIONS = 1000
@@ -96,24 +112,70 @@ def _build_result(model, support, observed, curve, iterations) -> FitResult:
     )
 
 
+def _clamped_rate(log_rate):
+    return math.exp(min(max(log_rate, _LOG_RATE_MIN), _LOG_RATE_MAX))
+
+
+def _gamma_basis(theta, support, log_support):
+    """(g, shift, rate, centre) for one (rate, shape).
+
+    ``theta`` is ``(shape,)`` for the rate-zero fit and ``(log rate,
+    shape)`` otherwise.  ``g`` is the curve shape scaled by
+    ``exp(-shift)``, which keeps exp() in range for extreme shapes;
+    ``centre`` indexes its largest point.
+    """
+    rate = _clamped_rate(theta[0]) if len(theta) == 2 else 0.0
+    log_g = -rate * support + (theta[-1] - 1.0) * log_support
+    centre = int(log_g.argmax())
+    shift = log_g[centre]
+    return np.exp(log_g - shift), shift, rate, centre
+
+
 def _gamma_profile(theta, support, observed, log_support):
     """Residual of the best amplitude for one (rate, shape), solved exactly.
 
-    ``theta`` is ``(shape,)`` for the rate-zero fit and ``(log rate,
-    shape)`` otherwise.  Returns (residual, scaled_amplitude, log_scale)
-    where the true amplitude is scaled_amplitude * exp(-log_scale); the
-    shift keeps exp() in range for extreme shapes.
+    Returns (residual, scaled_amplitude, log_scale) where the true
+    amplitude is scaled_amplitude * exp(-log_scale).
     """
-    rate = math.exp(min(theta[0], _LOG_RATE_MAX)) if len(theta) == 2 else 0.0
-    log_g = -rate * support + (theta[-1] - 1.0) * log_support
-    shift = log_g.max()
-    g = np.exp(log_g - shift)
+    g, shift, _, _ = _gamma_basis(theta, support, log_support)
     denom = float(g @ g)
     if denom == 0.0 or not math.isfinite(denom):
         # amplitude 0: the worst profiled fit, but a finite residual
         return observed, 0.0, 0.0
     amplitude = float(observed @ g) / denom
     return observed - amplitude * g, amplitude, shift
+
+
+def _gamma_jacobian(theta, support, observed, log_support):
+    """Exact Jacobian of ``_gamma_profile``'s residual in ``theta``.
+
+    This is the Golub-Pereyra variable-projection derivative.  With
+    ``r = f - a*g`` and ``a = f.g / g.g``, ``dr = -(a*dg + g (x) da)``
+    where ``da = (f.dg - 2a*g.dg) / g.g``; ``dg = g * dlog g``, with
+    ``dlog g/dlog rate = -rate*x`` (0 where the log-rate is clamped) and
+    ``dlog g/dshape = log x``.  A multiple of ``g`` added to ``dg`` leaves
+    ``dr`` unchanged, so both columns are taken relative to the curve's
+    largest point: they stay small where ``g`` is not negligible, and
+    the shift that scales ``g`` needs no term of its own.  Every entry is
+    finite wherever the residual is; the amplitude-0 branch has ``dr = 0``.
+    """
+    g, _, rate, centre = _gamma_basis(theta, support, log_support)
+    denom = float(g @ g)
+    if denom == 0.0 or not math.isfinite(denom):
+        return np.zeros((len(support), len(theta)))
+    amplitude = float(observed @ g) / denom
+    columns = [log_support - log_support[centre]]
+    if len(theta) == 2:
+        if _LOG_RATE_MIN < theta[0] < _LOG_RATE_MAX:
+            columns.insert(0, rate * (support[centre] - support))
+        else:
+            columns.insert(0, np.zeros_like(support))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dg = g[:, None] * np.column_stack(columns)
+    # where g underflowed to 0 its derivative is 0, not 0 * inf
+    dg[g == 0.0] = 0.0
+    da = (observed @ dg - 2.0 * amplitude * (g @ dg)) / denom
+    return -(amplitude * dg + np.outer(g, da))
 
 
 def _gamma_start(support, observed, log_support, rate_zero):
@@ -137,36 +199,105 @@ def _gamma_start(support, observed, log_support, rate_zero):
     return np.array([math.log(rate), shape])
 
 
+def _boundary_limit(support, observed, rate_zero):
+    """The SSE's infimum at infinite parameters, with the bins it keeps.
+
+    As rate and shape grow, ``log g`` is concave in x, so the curve can
+    hold any two adjacent support points in any ratio while the rest
+    vanish: the limit is ``|f|^2 - max_k (f_k^2 + f_{k+1}^2)``.  With the
+    rate pinned to 0 the power law can only hold its lowest or highest
+    point: ``|f|^2 - max(f_1^2, f_n^2)``.  Each limit is summed over the
+    bins outside its set, so a limit far below ``|f|^2`` keeps its
+    digits.  Returns the limit and, one row per bin set that attains it,
+    the indices of that set.
+    """
+    order = np.argsort(support, kind="stable")
+    squares = observed[order] ** 2
+    # before[i] sums the squares below sorted position i, after[i] from it
+    before = np.concatenate(([0.0], np.cumsum(squares)))
+    after = np.concatenate((np.cumsum(squares[::-1])[::-1], [0.0]))
+    if rate_zero:
+        bin_sets = order[[0, -1]][:, None]
+        outside = np.array([after[1], before[-2]])
+    else:
+        bin_sets = np.column_stack([order[:-1], order[1:]])
+        outside = before[:-2] + after[2:]
+    limit = outside.min()
+    return float(limit), bin_sets[outside == limit]
+
+
+class _Unbounded(Exception):
+    """Raised from inside a run at a point on its way to infinity."""
+
+
 def _gamma_refine(support, observed, log_support, rate_zero):
-    """One Levenberg-Marquardt run from the closed-form start."""
-    result = least_squares(
-        lambda theta: _gamma_profile(theta, support, observed, log_support)[0],
-        _gamma_start(support, observed, log_support, rate_zero),
-        method="lm",
-        # a fixed trust region: scaling by the Jacobian lets one step
-        # at a tiny rate move the log-rate by hundreds
-        x_scale=1.0,
-        xtol=_XTOL,
-        ftol=_FTOL,
-        gtol=_FTOL,
-        max_nfev=_MAX_EVALUATIONS,
-    )
+    """One Levenberg-Marquardt run from the closed-form start.
+
+    Returns (sse, theta, evaluations, unbounded).  A run whose lowest SSE
+    so far lies within ``_BOUNDARY_TOL`` above the SSE's limit at infinite
+    parameters (``_boundary_limit``), at a point whose curve has all but
+    that share of its squared mass on the limit's bins, is heading for
+    infinity: it stops there, ``unbounded`` is true and its sse is the
+    limit.  Only improving points are checked, so a trial step that the
+    run would reject never stops it.
+    """
+    limit, bin_sets = _boundary_limit(support, observed, rate_zero)
+    evaluations, lowest = 0, math.inf
+
+    def residual(theta):
+        nonlocal evaluations, lowest
+        evaluations += 1
+        r = _gamma_profile(theta, support, observed, log_support)[0]
+        sse = float(r @ r)
+        if sse < lowest:
+            lowest = sse
+            if limit <= sse <= (1 + _BOUNDARY_TOL) * limit:
+                mass = (observed - r) ** 2
+                if mass[bin_sets].sum(axis=1).max() >= (1 - _BOUNDARY_TOL) * mass.sum():
+                    raise _Unbounded(np.array(theta))
+        return r
+
+    try:
+        result = least_squares(
+            residual,
+            _gamma_start(support, observed, log_support, rate_zero),
+            jac=lambda theta: _gamma_jacobian(theta, support, observed, log_support),
+            method="lm",
+            # a fixed trust region: scaling by the Jacobian lets one step
+            # at a tiny rate move the log-rate by hundreds
+            x_scale=1.0,
+            xtol=_XTOL,
+            ftol=_FTOL,
+            gtol=_FTOL,
+            max_nfev=_MAX_EVALUATIONS,
+        )
+    except _Unbounded as stop:
+        return limit, stop.args[0], evaluations, True
     if result.status == 0:
         raise FitFailureError(
             f"Gamma optimizer did not converge in {_MAX_EVALUATIONS} evaluations",
             best_params=tuple(result.x),
         )
-    return result
+    return 2.0 * result.cost, result.x, evaluations, False
 
 
 def _fit_gamma(view, rate_zero) -> FitResult:
     """Discrete Gamma fit, with the rate pinned to 0 when ``rate_zero``.
 
-    The full fit keeps the nested rate-zero fit on a tie or when its own
-    rate is below 1e-12.  Each Levenberg-Marquardt run stops after
-    ``_MAX_EVALUATIONS`` (1000) function evaluations, or on its step
-    tolerance ``_XTOL`` (1e-10) or its relative-reduction and gradient
-    tolerance ``_FTOL`` (1e-12).  The path is deterministic, so identical
+    Each Levenberg-Marquardt run takes the exact variable-projection
+    Jacobian (``_gamma_jacobian``) and stops after ``_MAX_EVALUATIONS``
+    (1000) function evaluations, or on its step tolerance ``_XTOL``
+    (1e-10) or its relative-reduction and gradient tolerance ``_FTOL``
+    (1e-12).  The log-rate is held within [-700, 700], with a zero
+    derivative where it is clamped.  The full fit keeps the nested
+    rate-zero fit on a tie or when its own rate is below 1e-12.
+
+    A run stopped on its way to infinite parameters (see
+    ``_gamma_refine``) stands for the limit SSE it approaches.  When the
+    better run is such a run, the SSE has no minimum at finite parameters
+    and the fit is refused with ``FitFailureError``.  So when only the
+    nested run is stopped, the full fit keeps its own run's result if
+    that beats the nested limit.  The path is deterministic, so identical
     inputs give bit-identical results.
     """
     support, observed = support_frequencies(view)
@@ -177,17 +308,27 @@ def _fit_gamma(view, rate_zero) -> FitResult:
             "Gamma fit needs at least 3 positive-frequency support points"
         )
     log_support = np.log(support)
-    best = _gamma_refine(support, observed, log_support, rate_zero=True)
-    rate, evaluations = 0.0, best.nfev
+    sse, theta, evaluations, unbounded = _gamma_refine(
+        support, observed, log_support, rate_zero=True
+    )
+    rate = 0.0
     if not rate_zero:
-        full = _gamma_refine(support, observed, log_support, rate_zero=False)
-        evaluations += full.nfev
-        full_rate = math.exp(min(full.x[0], _LOG_RATE_MAX))
-        # below the floor the full fit is the nested one up to round-off
-        if full_rate >= _RATE_FLOOR and full.cost < best.cost:
-            best, rate = full, full_rate
-    _, scaled_amplitude, shift = _gamma_profile(best.x, support, observed, log_support)
-    shape = float(best.x[-1])
+        full_sse, full_theta, full_evaluations, full_unbounded = _gamma_refine(
+            support, observed, log_support, rate_zero=False
+        )
+        evaluations += full_evaluations
+        full_rate = _clamped_rate(full_theta[0])
+        # below the floor a finite full fit is the nested one up to round-off
+        if (full_unbounded or full_rate >= _RATE_FLOOR) and full_sse < sse:
+            sse, theta, unbounded, rate = full_sse, full_theta, full_unbounded, full_rate
+    if unbounded:
+        raise FitFailureError(
+            f"Gamma SSE has no minimum at finite parameters: it approaches "
+            f"{sse!r} only as the parameters run off to infinity",
+            best_params=tuple(float(t) for t in theta),
+        )
+    _, scaled_amplitude, shift = _gamma_profile(theta, support, observed, log_support)
+    shape = float(theta[-1])
     with np.errstate(over="ignore"):
         amplitude = float(scaled_amplitude * np.exp(-shift))
         if not (math.isfinite(amplitude) and amplitude > 0):

@@ -55,7 +55,6 @@ from .fitting import (
     fit_zipf_on_lengths,
     pooled_fit,
 )
-from .laws import GammaModel
 
 REPORT_SCHEMA_ID = "number-law-report/1"
 
@@ -164,18 +163,6 @@ class TrendFinding:
 
 
 @dataclass(frozen=True)
-class ComparisonSeries:
-    """Normalized curves and |first difference| series for two Gamma fits."""
-
-    support_a: tuple[float, ...]
-    normalized_a: tuple[float, ...]
-    abs_derivative_a: tuple[float, ...]
-    support_b: tuple[float, ...]
-    normalized_b: tuple[float, ...]
-    abs_derivative_b: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class CorpusAnalysis:
     label: str
     year: int | None
@@ -280,23 +267,6 @@ def _normalized_gradient(fit: FitResult):
     else:
         gradient = np.zeros(1)
     return support, curve, normalized, gradient
-
-
-def curve_compare(fit_a: FitResult, fit_b: FitResult) -> ComparisonSeries:
-    """Normalize two Gamma fit curves to pmfs and compare their slopes.
-
-    Emits per-support-point normalized values and central-difference
-    |df/dx| series (one-sided at the edges) for external plotting.
-    """
-    for fit in (fit_a, fit_b):
-        if not isinstance(fit.model, GammaModel):
-            raise TypeError("curve_compare expects two Gamma fits")
-    sa, _, na, da = _normalized_gradient(fit_a)
-    sb, _, nb, db = _normalized_gradient(fit_b)
-    return ComparisonSeries(
-        support_a=tuple(sa), normalized_a=tuple(na), abs_derivative_a=tuple(da),
-        support_b=tuple(sb), normalized_b=tuple(nb), abs_derivative_b=tuple(db),
-    )
 
 
 def trend_over_years(values_by_year) -> TrendFinding:

@@ -30,7 +30,7 @@ from numlaws.errors import (
     UnderdeterminedFitError,
 )
 from numlaws import fitting
-from numlaws.fitting import _gamma_profile, _gamma_start
+from numlaws.fitting import _gamma_jacobian, _gamma_profile, _gamma_start
 from numlaws.laws import GammaModel, ZipfModel
 
 
@@ -243,6 +243,194 @@ def test_gamma_fit_is_finite_and_dominates_nested_fit(frequencies):
         # both SSEs are recomputed from the curves, so allow round-off
         assert full.residual_sum <= nested.residual_sum * (1 + 1e-9) + 1e-15
     assert time.perf_counter() - started < FIT_SECONDS
+
+
+def profile_residual(theta, xs, freqs):
+    return _gamma_profile(np.asarray(theta, dtype=float), xs, freqs, np.log(xs))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=-6.0, max_value=1.0),
+    st.floats(min_value=-5.0, max_value=20.0),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=12).filter(
+        lambda f: sum(f) > 0
+    ),
+)
+def test_gamma_jacobian_matches_central_difference(log_rate, shape, frequencies):
+    """The exact variable-projection Jacobian agrees with a central
+    difference of the profiled residual, for the full and the rate-zero fit."""
+    xs = np.arange(1, len(frequencies) + 1, dtype=float)
+    freqs = np.asarray(frequencies)
+    h = 1e-6
+    for theta in (np.array([log_rate, shape]), np.array([shape])):
+        jacobian = _gamma_jacobian(theta, xs, freqs, np.log(xs))
+        assert jacobian.shape == (len(xs), len(theta))
+        for i in range(len(theta)):
+            step = np.zeros(len(theta))
+            step[i] = h
+            difference = (
+                profile_residual(theta + step, xs, freqs)
+                - profile_residual(theta - step, xs, freqs)
+            ) / (2 * h)
+            np.testing.assert_allclose(jacobian[:, i], difference, rtol=1e-5, atol=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([fitting._LOG_RATE_MIN, fitting._LOG_RATE_MAX, -1e4, 1e4, -699.9, 699.9]),
+    st.sampled_from([-1e3, 1e3, -1e3 + 0.5, 1e3 - 0.5, 1.0]),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=3, max_size=12),
+)
+def test_gamma_jacobian_finite_at_extreme_theta(log_rate, shape, frequencies):
+    """Log-rate at and beyond both clamps, shape at +-1e3: every entry of
+    the Jacobian is finite, and 0 in the log-rate column where it is clamped."""
+    xs = np.arange(1, len(frequencies) + 1, dtype=float)
+    freqs = np.asarray(frequencies)
+    jacobian = _gamma_jacobian(np.array([log_rate, shape]), xs, freqs, np.log(xs))
+    assert np.all(np.isfinite(jacobian))
+    if not fitting._LOG_RATE_MIN < log_rate < fitting._LOG_RATE_MAX:
+        assert np.all(jacobian[:, 0] == 0.0)
+    assert np.all(np.isfinite(_gamma_jacobian(np.array([shape]), xs, freqs, np.log(xs))))
+
+
+def test_gamma_jacobian_finite_on_wide_support_at_top_rate():
+    """rate * x overflows on a support reaching 3e4 at log-rate 699.9, but
+    the curve is 0 there, and so is its derivative.  The residual's own
+    log-curve overflows to -inf at that point, which numpy reports."""
+    xs = np.array([1.0, 2.0, 3e4])
+    freqs = np.array([0.5, 0.3, 0.2])
+    with np.errstate(over="ignore"):
+        jacobian = _gamma_jacobian(np.array([699.9, 2.0]), xs, freqs, np.log(xs))
+    assert np.all(np.isfinite(jacobian))
+
+
+def test_gamma_jacobian_zero_on_amplitude_zero_branch():
+    """Where the curve is not finite the profiled amplitude is 0, the
+    residual is the data and the Jacobian is 0."""
+    xs = np.arange(1, 10, dtype=float)
+    freqs = np.full(9, 1 / 9)
+    with np.errstate(all="ignore"):
+        for theta in ([math.nan, 2.0], [0.0, math.nan], [0.0, math.inf], [math.inf]):
+            theta = np.array(theta)
+            residual, amplitude, _ = _gamma_profile(theta, xs, freqs, np.log(xs))
+            assert amplitude == 0.0
+            assert np.array_equal(residual, freqs)
+            jacobian = _gamma_jacobian(theta, xs, freqs, np.log(xs))
+            assert np.array_equal(jacobian, np.zeros((9, len(theta))))
+
+
+def count_profile_calls(monkeypatch):
+    """Count residual evaluations: every run calls ``_gamma_profile`` once
+    per evaluation, and the Jacobian never calls it."""
+    calls = []
+    original = fitting._gamma_profile
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(fitting, "_gamma_profile", counted)
+    return calls
+
+
+DIGITS = np.arange(1, 10, dtype=float)
+# first digits of the benchmark's tiny corpus single_digit_with_zeros
+SINGLE_DIGIT_WITH_ZEROS = np.array([3, 2, 0, 0, 1, 0, 0, 0, 0]) / 6
+# first digits of the benchmark's fault (b) corpus: 1871, 7545..., 7988...,
+# 5804477, 843190, 7067..., 400089832
+FAULT_B_DIGITS = np.array([1, 0, 0, 1, 1, 0, 3, 1, 0]) / 7
+# decimal lengths of the benchmark's fault (a) corpus
+FAULT_A_LENGTHS = np.array([0.55, 0.23, 0.22])
+UNBOUNDED_EVALUATIONS = 100
+
+
+class TestUnboundedGammaFit:
+    @pytest.mark.parametrize(
+        "freqs, limit", [(SINGLE_DIGIT_WITH_ZEROS, 1 / 36), (FAULT_B_DIGITS, 3 / 49)]
+    )
+    def test_refused_within_evaluation_bound(self, monkeypatch, freqs, limit):
+        """Both digit histograms approach their SSE infimum, the squares
+        left outside the best adjacent pair, only as rate and shape grow
+        without bound; the fit says so, early."""
+        calls = count_profile_calls(monkeypatch)
+        with pytest.raises(FitFailureError, match="no minimum at finite parameters") as excinfo:
+            fit_gamma(SyntheticHistogram(DIGITS, freqs))
+        assert len(calls) <= UNBOUNDED_EVALUATIONS
+        assert f"approaches {limit!r} only as the parameters" in str(excinfo.value)
+        assert len(excinfo.value.best_params) == 2
+
+    def test_fault_a_lengths_keep_their_finite_nested_fit(self, monkeypatch):
+        """Lengths (0.55, 0.23, 0.22) have a finite least-squares fit at
+        rate 0 (SSE 0.0033), far below both limits at infinity (0.0484 for
+        the full fit, 0.1013 at rate 0): fitted, not refused."""
+        calls = count_profile_calls(monkeypatch)
+        hist = SyntheticHistogram(np.arange(1.0, 4.0), FAULT_A_LENGTHS)
+        full = fit_gamma(hist)
+        assert len(calls) <= UNBOUNDED_EVALUATIONS
+        nested = fit_gamma_rate_zero(hist)
+        assert full.model == nested.model
+        assert full.model.rate == 0.0
+        assert full.residual_sum == pytest.approx(0.0032918, rel=1e-4)
+
+    def test_rate_zero_fit_refused_toward_its_end_bin(self, monkeypatch):
+        """A power law can only pile onto its first or last point.  Lengths
+        1, 1, 1, 8, 11 and 14 (the benchmark's tiny corpus random04) fall
+        toward 1/12, the SSE left when the curve holds only length 1."""
+        calls = count_profile_calls(monkeypatch)
+        counts = np.zeros(14)
+        counts[[0, 7, 10, 13]] = [3, 1, 1, 1]
+        hist = SyntheticHistogram(np.arange(1.0, 15.0), counts / 6)
+        with pytest.raises(FitFailureError, match="no minimum at finite parameters") as excinfo:
+            fit_gamma_rate_zero(hist)
+        assert f"approaches {1 / 12!r} only" in str(excinfo.value)
+        assert len(calls) <= UNBOUNDED_EVALUATIONS
+
+    def test_rejected_trial_step_does_not_stop_the_run(self):
+        """These digits have a finite fit (rate 21.5, shape 90.9) just below
+        the limit at infinity.  On the way, one trial step lands within
+        the stopping band; it is worse than the run's best point, so the
+        run rejects it and goes on."""
+        xs = np.arange(1, 11, dtype=float)
+        freqs = np.array([1, 3, 0, 17, 4, 3, 4, 4, 0, 1]) / 37
+        limit = float(np.sum(freqs[[0, 1, 2, 5, 6, 7, 8, 9]] ** 2))
+        fit = fit_gamma(SyntheticHistogram(xs, freqs))
+        assert fit.residual_sum < limit
+        assert fit.model.rate == pytest.approx(21.5, rel=1e-2)
+
+    @pytest.mark.parametrize("rate", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.0, 8.0])
+    def test_exact_gamma_histograms_still_recovered(self, rate, shape):
+        xs = np.arange(1, 13, dtype=float)
+        fit = fit_gamma(exact_histogram(GammaModel(1.0, rate, shape), xs))
+        assert fit.model.rate == pytest.approx(rate, rel=1e-6)
+        assert fit.model.shape == pytest.approx(shape, rel=1e-6)
+
+    def test_full_fit_kept_when_only_the_nested_run_is_unbounded(self, monkeypatch):
+        """A nested run stopped on its way to infinity stands for its limit
+        SSE; the full run still runs and is kept when it beats that limit,
+        and the fit is refused when it does not."""
+        xs = DIGITS
+        hist = exact_histogram(GammaModel(*POOLED_DIGIT_PARAMS), xs)
+        original = fitting._gamma_refine
+
+        def nested_unbounded(limit):
+            def refine(support, observed, log_support, rate_zero):
+                if rate_zero:
+                    return limit, np.array([40.0]), 7, True
+                return original(support, observed, log_support, rate_zero)
+            return refine
+
+        monkeypatch.setattr(fitting, "_gamma_refine", nested_unbounded(1e-3))
+        fit = fit_gamma(hist)
+        assert fit.model.rate == pytest.approx(POOLED_DIGIT_PARAMS[1], rel=1e-6)
+        assert fit.iterations > 7
+        with pytest.raises(FitFailureError, match=r"approaches 0\.001 only"):
+            fit_gamma_rate_zero(hist)
+        # a full fit that does not beat the nested limit is refused with it
+        monkeypatch.setattr(fitting, "_gamma_refine", nested_unbounded(0.0))
+        with pytest.raises(FitFailureError, match=r"approaches 0\.0 only"):
+            fit_gamma(hist)
 
 
 class TestGammaRateZeroFit:

@@ -1,4 +1,4 @@
-"""Section analyses, curve comparison, trends and report assembly."""
+"""Section analyses, plot bundles, trends and report assembly."""
 
 import importlib.util
 import json
@@ -21,7 +21,6 @@ from numlaws import (
     analyze_dimension,
     benford_pmf,
     build_report,
-    curve_compare,
     digit_histogram,
     discrete_normalize,
     fit_benford,
@@ -113,6 +112,22 @@ class TestFirstDigitSection:
         assert section.cutoff is not None
         assert section.cutoff.upper_cutoff >= section.cutoff.lower_cutoff
 
+    def test_unbounded_gamma_fit_noted_without_cutoff(self):
+        """The benchmark's single_digit_with_zeros: its digit SSE has no
+        minimum at finite parameters, so the report notes the refusal and
+        solves no first-digit cutoff."""
+        corpus = NumberCorpus("s", (0, 0, 0, 0, 1, 1, 1, 2, 2, 5))
+        report = build_report(corpus, AnalysisConfig(cutoff=True))
+        section = report.corpora[0].sections["first_digit"]
+        assert "gamma" not in section.fits
+        assert section.cutoff is None
+        assert any(
+            note.startswith("gamma fit unavailable: Gamma SSE has no minimum at finite parameters")
+            for note in section.notes
+        )
+        dimensions = {e.dimension for e in report.corpora[0].boundaries.entries}
+        assert "first_digit" not in dimensions
+
 
 class TestFrequencySection:
     def test_exact_harmonic_table(self):
@@ -159,39 +174,31 @@ class TestLengthSection:
         assert section.counts == (4,)
 
 
-class TestCurveCompare:
-    def test_identical_fits_give_identical_series(self):
-        xs = np.arange(1, 10, dtype=float)
-        fit = fit_gamma(SyntheticHistogram(xs, POOLED_DIGIT_PMF))
-        series = curve_compare(fit, fit)
-        assert series.normalized_a == series.normalized_b
-        assert series.abs_derivative_a == series.abs_derivative_b
+def bundle_column(path, column):
+    """One column of a plot bundle CSV, as floats."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    index = header.split(",").index(column)
+    return [float(row.split(",")[index]) for row in rows]
 
-    def test_digit_curve_steeper_than_length_curve_at_low_ranks(self):
-        """Direct evaluation: the pooled digit curve falls faster at small
-        support values than the nearly flat pooled length curve."""
-        digit_fit = fit_gamma(
-            SyntheticHistogram(np.arange(1, 10, dtype=float), POOLED_DIGIT_PMF)
-        )
-        length_fit = fit_gamma(
-            SyntheticHistogram(np.arange(1, 13, dtype=float), POOLED_LENGTH_PMF)
-        )
-        series = curve_compare(digit_fit, length_fit)
+
+class TestPlotBundleSeries:
+    def test_digit_curve_steeper_than_length_curve_at_low_ranks(self, tmp_path):
+        """The pooled digit curve's pmf falls faster at small support
+        values than the nearly flat pooled length curve's."""
+        digits = corpus_from_digit_counts(rounded_counts(POOLED_DIGIT_PMF, n=10**4), "d")
+        lengths = corpus_from_length_counts(rounded_counts(POOLED_LENGTH_PMF, n=10**4), "l")
+        write_plot_bundles(build_report([digits, lengths]), tmp_path)
+        digit_slope = bundle_column(tmp_path / "d.first_digit.gamma.csv", "abs_gradient")
+        length_slope = bundle_column(tmp_path / "l.length.gamma.csv", "abs_gradient")
         for i in range(3):
-            assert series.abs_derivative_a[i] > series.abs_derivative_b[i]
+            assert digit_slope[i] > length_slope[i]
 
-    def test_constant_curve_has_zero_derivative(self):
-        xs = np.arange(1, 6, dtype=float)
-        fit = fit_gamma(SyntheticHistogram(xs, np.full(5, 0.2)))
-        series = curve_compare(fit, fit)
-        assert all(d <= 1e-12 for d in series.abs_derivative_a)
-
-    def test_rejects_non_gamma_fits(self):
-        xs = np.arange(1, 10, dtype=float)
-        gamma = fit_gamma(SyntheticHistogram(xs, POOLED_DIGIT_PMF))
-        benford = fit_benford(SyntheticHistogram(xs, np.log10(1 + 1 / xs)))
-        with pytest.raises(TypeError):
-            curve_compare(benford, gamma)
+    def test_constant_curve_has_zero_gradient(self, tmp_path):
+        corpus = corpus_from_digit_counts([7] * 9, "flat")
+        write_plot_bundles(build_report(corpus), tmp_path)
+        bundle = tmp_path / "flat.first_digit.gamma.csv"
+        assert all(d <= 1e-12 for d in bundle_column(bundle, "abs_gradient"))
+        assert sum(bundle_column(bundle, "fitted_pmf")) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTrendDetection:

@@ -14,11 +14,8 @@ from .corpus import (
     RankFrequencyTable,
     corpus_stats,
     decimal_length,
-    digit_histogram,
     first_digit,
-    length_histogram,
     merge_corpora,
-    rank_frequency,
 )
 from .cutoff import (
     BoundarySummary,
@@ -43,10 +40,6 @@ from .laws import (
     ZipfModel,
     benford_pmf,
     discrete_normalize,
-    gamma_density,
-    model_from_dict,
-    model_to_dict,
-    zipf_value,
 )
 from .metrics import (
     FitVerdict,
@@ -105,7 +98,6 @@ __all__ = [
     "corpus_stats",
     "cutoff_report",
     "decimal_length",
-    "digit_histogram",
     "discrete_normalize",
     "estimate_cutoff_gamma",
     "estimate_cutoff_zipf",
@@ -117,17 +109,12 @@ __all__ = [
     "fit_gamma_rate_zero",
     "fit_zipf",
     "fit_zipf_on_lengths",
-    "gamma_density",
     "js_divergence",
     "kl_divergence",
-    "length_histogram",
     "mape",
     "merge_corpora",
-    "model_from_dict",
-    "model_to_dict",
     "pooled_fit",
     "r_squared",
-    "rank_frequency",
     "read_csv_corpus",
     "read_text_corpus",
     "report_to_json",
@@ -137,5 +124,4 @@ __all__ = [
     "score_fit",
     "trend_over_years",
     "write_plot_bundles",
-    "zipf_value",
 ]

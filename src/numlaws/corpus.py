@@ -164,14 +164,6 @@ class DigitHistogram(_CountsView):
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def from_digits(cls, digits) -> "DigitHistogram":
-        counter = Counter(int(d) for d in digits)
-        bad = set(counter) - set(range(1, 10))
-        if bad:
-            raise ValueError(f"digits outside 1..9: {sorted(bad)}")
-        return cls(tuple(counter.get(d, 0) for d in range(1, 10)))
-
-    @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "DigitHistogram":
         digits = _count_by(corpus, first_digit)
         if not digits:
@@ -196,14 +188,6 @@ class LengthHistogram(_CountsView):
         if counts[-1] == 0:
             counts = counts[: max(i for i, c in enumerate(counts) if c > 0) + 1]
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_lengths(cls, lengths) -> "LengthHistogram":
-        counter = Counter(int(x) for x in lengths)
-        if any(k < 1 for k in counter):
-            raise ValueError("lengths must be >= 1")
-        l_max = max(counter)
-        return cls(tuple(counter.get(k, 0) for k in range(1, l_max + 1)))
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "LengthHistogram":
@@ -234,18 +218,6 @@ class RankFrequencyTable(_CountsView):
 
     def __len__(self):
         return len(self.values)
-
-
-def digit_histogram(corpus: NumberCorpus) -> DigitHistogram:
-    return DigitHistogram.from_corpus(corpus)
-
-
-def length_histogram(corpus: NumberCorpus) -> LengthHistogram:
-    return LengthHistogram.from_corpus(corpus)
-
-
-def rank_frequency(corpus: NumberCorpus) -> RankFrequencyTable:
-    return RankFrequencyTable.from_corpus(corpus)
 
 
 def merge_corpora(corpora, label="pooled") -> NumberCorpus:

@@ -98,17 +98,14 @@ def _decode(path: Path) -> str:
         raise IngestError(f"{path}: {exc}") from exc
 
 
-def read_text_corpus(
-    path, label: str | None = None, year: int | None = None
-) -> NumberCorpus:
+def read_text_corpus(path, year: int | None = None) -> NumberCorpus:
+    """Extract all integer tokens from a text file, labelled by its stem."""
     path = Path(path)
-    return extract_numbers(_decode(path), label or path.stem, year)
+    return extract_numbers(_decode(path), path.stem, year)
 
 
-def read_csv_corpus(
-    path, column, label: str | None = None, year: int | None = None
-) -> NumberCorpus:
-    """Extract one numeric CSV column.
+def read_csv_corpus(path, column, year: int | None = None) -> NumberCorpus:
+    """Extract one numeric CSV column, labelled by the file's stem.
 
     The first row is a header when one of its cells is not an integer, and
     data otherwise.  A string of decimal digits, or an int, is a 0-based
@@ -135,4 +132,4 @@ def read_csv_corpus(
     values = tuple(v for v in map(parse_cell, cells) if v is not None)
     if not values:
         raise EmptyCorpusError(f"{path}: column {column!r} has no integer values")
-    return NumberCorpus(label=label or path.stem, values=values, year=year)
+    return NumberCorpus(label=path.stem, values=values, year=year)

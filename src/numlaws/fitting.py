@@ -86,7 +86,7 @@ class FitResult:
     def to_dict(self):
         return {
             "model": self.model.name,
-            "params": self.model.params(),
+            "params": self.model,
             "support": self.support,
             "observed": self.observed,
             "fitted": self.curve,

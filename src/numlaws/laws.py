@@ -39,9 +39,6 @@ class BenfordModel:
             raise ValueError("Benford support must be integer digits in 1..9")
         return np.log10(1.0 + 1.0 / support)
 
-    def params(self):
-        return {}
-
 
 @dataclass(frozen=True)
 class ZipfModel:
@@ -63,9 +60,6 @@ class ZipfModel:
         if np.any(support < 1):
             raise ValueError("ranks must be >= 1")
         return self.scale * support ** -self.exponent
-
-    def params(self):
-        return {"exponent": self.exponent, "scale": self.scale}
 
 
 @dataclass(frozen=True)
@@ -101,23 +95,6 @@ class GammaModel:
             -self.rate * support + (self.shape - 1.0) * np.log(support)
         )
 
-    def params(self):
-        return {"amplitude": self.amplitude, "rate": self.rate, "shape": self.shape}
-
-
-def zipf_value(rank, model: ZipfModel) -> float:
-    """Unnormalized Zipf value at one rank."""
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank!r}")
-    return float(model.weights([float(rank)])[0])
-
-
-def gamma_density(x, model: GammaModel) -> float:
-    """Unnormalized Gamma density at one point x > 0."""
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x!r}")
-    return float(model.weights([float(x)])[0])
-
 
 def discrete_normalize(model, support) -> np.ndarray:
     """Normalize model weights on an explicit discrete support into a pmf."""
@@ -129,18 +106,3 @@ def discrete_normalize(model, support) -> np.ndarray:
         )
     return weights / total
 
-
-_MODEL_TYPES = {"benford": BenfordModel, "zipf": ZipfModel, "gamma": GammaModel}
-
-
-def model_to_dict(model) -> dict:
-    return {"model": model.name, "params": model.params()}
-
-
-def model_from_dict(payload: dict):
-    try:
-        name = payload["model"]
-        cls = _MODEL_TYPES[name]
-    except KeyError as exc:
-        raise ValueError(f"unknown model payload: {payload!r}") from exc
-    return cls(**payload.get("params", {}))

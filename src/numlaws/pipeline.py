@@ -66,10 +66,10 @@ class Dimension:
     """How one dimension is viewed, fitted, bounded and judged."""
 
     view: type
-    # candidates in preference order: (model name, fitter in this module,
-    # note prefix when the fit fails); the fitter is looked up by name at
-    # call time so that a replaced module function is the one called
-    fits: tuple[tuple[str, str, str], ...]
+    # candidates in preference order: (model name, fitter in this module);
+    # the fitter is looked up by name at call time so that a replaced
+    # module function is the one called
+    fits: tuple[tuple[str, str], ...]
     # law the cutoff solve runs on, with that fit's parameters
     cutoff_law: str
     # conformity model whose failure flags the dimension as anomalous
@@ -84,17 +84,14 @@ DIMENSIONS = {
     # the digit axis doubles as a rank axis, so Gamma is always tried too
     "first_digit": Dimension(
         view=DigitHistogram,
-        fits=(
-            ("benford", "fit_benford", "benford fit unavailable"),
-            ("gamma", "fit_gamma", "gamma fit unavailable"),
-        ),
+        fits=(("benford", "fit_benford"), ("gamma", "fit_gamma")),
         cutoff_law="gamma",
         primary_model="benford",
         boundary_share=max,
     ),
     "frequency": Dimension(
         view=RankFrequencyTable,
-        fits=(("zipf", "fit_zipf", "zipf fit unavailable"),),
+        fits=(("zipf", "fit_zipf"),),
         cutoff_law="zipf",
         primary_model="zipf",
         boundary_share=max,
@@ -105,9 +102,9 @@ DIMENSIONS = {
     "length": Dimension(
         view=LengthHistogram,
         fits=(
-            ("gamma", "fit_gamma", "gamma fit underdetermined"),
-            ("gamma_rate_zero", "fit_gamma_rate_zero", "rate-zero gamma fit underdetermined"),
-            ("zipf", "fit_zipf_on_lengths", "zipf-on-length fit underdetermined"),
+            ("gamma", "fit_gamma"),
+            ("gamma_rate_zero", "fit_gamma_rate_zero"),
+            ("zipf", "fit_zipf_on_lengths"),
         ),
         cutoff_law="gamma",
         primary_model="gamma",
@@ -197,14 +194,13 @@ def share_scale_cutoff(view, fit: FitResult):
     positive = freqs[freqs > 0]
     lower = float(positive.min())
     upper_init = float(positive.max())
-    params = fit.model.params()
     exponent = "shape" if law == "gamma" else "exponent"
-    alpha = params[exponent]
+    alpha = getattr(fit.model, exponent)
     if alpha <= 0:
         raise NumlawsError(f"non-positive fitted {exponent}; cutoff skipped")
     if law == "gamma":
         return estimate_cutoff_gamma(
-            n=view.total, lower=lower, alpha=alpha, rate=params["rate"], upper_init=upper_init
+            n=view.total, lower=lower, alpha=alpha, rate=fit.model.rate, upper_init=upper_init
         )
     return estimate_cutoff_zipf(n=view.total, lower=lower, alpha=alpha, upper_init=upper_init)
 
@@ -214,8 +210,9 @@ def analyze_dimension(
 ) -> AnalysisSection:
     """One dimension's view with its candidate fits and optional cutoff.
 
-    A candidate that fails with a NumlawsError is noted rather than
-    raised, so the others and the other sections survive.  The preferred
+    A candidate that fails with a NumlawsError is noted as
+    "<model name> fit unavailable: <error>" rather than raised, so the
+    others and the other sections survive.  The preferred
     model is the first candidate, in the registry's order, with the
     highest R^2.
     """
@@ -223,11 +220,11 @@ def analyze_dimension(
     view = spec.view.from_corpus(corpus)
     fits: dict[str, FitResult] = {}
     notes: list[str] = []
-    for model_name, fitter, failure in spec.fits:
+    for model_name, fitter in spec.fits:
         try:
             fits[model_name] = globals()[fitter](view)
         except NumlawsError as exc:
-            notes.append(f"{failure}: {exc}")
+            notes.append(f"{model_name} fit unavailable: {exc}")
     if spec.flat_fit in fits and abs(fits[spec.flat_fit].model.exponent) < 1e-12:
         notes.append("degenerate: flat rank-frequency line (exponent ~ 0)")
     cutoff = None
@@ -236,7 +233,7 @@ def analyze_dimension(
             cutoff = share_scale_cutoff(view, fits[spec.cutoff_law])
         except NumlawsError as exc:
             notes.append(f"cutoff failed: {exc}")
-    candidates = [name for name, _, _ in spec.fits if name in fits]
+    candidates = [name for name, _ in spec.fits if name in fits]
     return AnalysisSection(
         dimension=dimension,
         support=tuple(float(x) for x in view.support),
@@ -272,16 +269,11 @@ def _normalized_gradient(fit: FitResult):
 def trend_over_years(values_by_year) -> TrendFinding:
     """Least-squares slope of R^2 over calendar years.
 
-    ``values_by_year`` maps year to either a plain number or a FitResult
-    (its R^2 is then read off its scores).  At least 3 distinct years
-    are required; the flag raises when the slope drops below
+    ``values_by_year`` maps year to R^2.  At least 3 distinct years are
+    required; the flag raises when the slope drops below
     ``TREND_SLOPE_THRESHOLD`` (-0.02 per year).
     """
-    points = {}
-    for year, value in values_by_year.items():
-        if isinstance(value, FitResult):
-            value = value.scores.r_squared
-        points[int(year)] = float(value)
+    points = {int(year): float(value) for year, value in values_by_year.items()}
     if len(points) < 3:
         raise InsufficientDataError(
             f"trend detection needs >= 3 years, got {len(points)}"
@@ -347,7 +339,11 @@ def _collect_trends(analyses, config: AnalysisConfig):
             (a.year, a.sections[dimension].fits) for a in by_year if dimension in a.sections
         ]
         for model_name in sorted({name for _, fits in fits_by_year for name in fits}):
-            series = {year: fits[model_name] for year, fits in fits_by_year if model_name in fits}
+            series = {
+                year: fits[model_name].scores.r_squared
+                for year, fits in fits_by_year
+                if model_name in fits
+            }
             if len(series) < 3:
                 continue
             finding = trend_over_years(series)

@@ -13,11 +13,8 @@ from numlaws import (
     NumberCorpus,
     corpus_stats,
     decimal_length,
-    digit_histogram,
     first_digit,
-    length_histogram,
     merge_corpora,
-    rank_frequency,
     sample_benford_digits,
     sample_zipf_values,
 )
@@ -139,40 +136,40 @@ class TestDecimalLength:
 
 class TestDigitHistogram:
     def test_zero_values_excluded(self):
-        hist = digit_histogram(make_corpus([1, 1, 2, 0]))
+        hist = DigitHistogram.from_corpus(make_corpus([1, 1, 2, 0]))
         assert hist.counts == (2, 1, 0, 0, 0, 0, 0, 0, 0)
         np.testing.assert_allclose(hist.frequencies[:2], [2 / 3, 1 / 3])
 
     def test_one_per_decade_is_uniform(self):
-        hist = digit_histogram(make_corpus(range(10, 100, 10)))
+        hist = DigitHistogram.from_corpus(make_corpus(range(10, 100, 10)))
         np.testing.assert_allclose(hist.frequencies, np.full(9, 1 / 9))
 
     def test_benford_sampled_share(self):
         """Digit-1 share of 1e5 Benford draws lands within 0.301 +/- 0.01."""
         digits = sample_benford_digits(10**5, seed=314)
-        hist = DigitHistogram.from_digits(digits)
+        hist = DigitHistogram.from_corpus(make_corpus(digits))
         assert abs(hist.frequencies[0] - 0.301) < 0.01
 
     def test_frequencies_sum_to_one(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             values = [int(v) for v in rng.integers(1, 10**6, size=50)]
-            hist = digit_histogram(make_corpus(values))
+            hist = DigitHistogram.from_corpus(make_corpus(values))
             assert abs(hist.frequencies.sum() - 1.0) < 1e-12
 
     def test_all_zero_corpus_rejected(self):
         with pytest.raises(EmptyHistogramError):
-            digit_histogram(make_corpus([0, 0, 0]))
+            DigitHistogram.from_corpus(make_corpus([0, 0, 0]))
 
 
 class TestRankFrequency:
     def test_direct_count(self):
-        table = rank_frequency(make_corpus([5, 5, 5, 7, 7, 9]))
+        table = RankFrequencyTable.from_corpus(make_corpus([5, 5, 5, 7, 7, 9]))
         assert table.values == (5, 7, 9)
         np.testing.assert_allclose(table.frequencies, [1 / 2, 1 / 3, 1 / 6])
 
     def test_ties_break_by_ascending_value(self):
-        table = rank_frequency(make_corpus([3, 4]))
+        table = RankFrequencyTable.from_corpus(make_corpus([3, 4]))
         assert table.values == (3, 4)
         np.testing.assert_allclose(table.frequencies, [0.5, 0.5])
 
@@ -180,7 +177,7 @@ class TestRankFrequency:
         """Empirical rank-1 share sits within 3 binomial SE of the pmf."""
         n, support = 10**5, 100
         corpus = sample_zipf_values(n, alpha=1.0, support_size=support, seed=77)
-        table = rank_frequency(corpus)
+        table = RankFrequencyTable.from_corpus(corpus)
         weights = 1.0 / np.arange(1, support + 1)
         p1 = weights[0] / weights.sum()
         se = np.sqrt(p1 * (1 - p1) / n)
@@ -189,7 +186,7 @@ class TestRankFrequency:
     def test_bijection_and_monotone_frequencies(self):
         rng = np.random.default_rng(21)
         values = [int(v) for v in rng.integers(1, 50, size=500)]
-        table = rank_frequency(make_corpus(values))
+        table = RankFrequencyTable.from_corpus(make_corpus(values))
         assert len(set(table.values)) == len(table.values) == len(set(values))
         diffs = np.diff(table.frequencies)
         assert np.all(diffs <= 0)
@@ -198,22 +195,22 @@ class TestRankFrequency:
 
 class TestLengthHistogram:
     def test_digit_counting(self):
-        hist = length_histogram(make_corpus([0, 7, 42, 100]))
+        hist = LengthHistogram.from_corpus(make_corpus([0, 7, 42, 100]))
         assert hist.counts == (2, 1, 1)
 
     def test_powers_of_ten(self):
-        hist = length_histogram(make_corpus([10**k for k in range(6)]))
+        hist = LengthHistogram.from_corpus(make_corpus([10**k for k in range(6)]))
         assert hist.counts == (1, 1, 1, 1, 1, 1)
 
     def test_count_conservation(self):
         rng = np.random.default_rng(3)
         values = [int(v) for v in rng.integers(0, 10**8, size=777)]
-        hist = length_histogram(make_corpus(values))
+        hist = LengthHistogram.from_corpus(make_corpus(values))
         assert hist.total == len(values)
         assert abs(hist.frequencies.sum() - 1.0) < 1e-12
 
     def test_interior_gaps_are_kept(self):
-        hist = length_histogram(make_corpus([5, 1000000]))
+        hist = LengthHistogram.from_corpus(make_corpus([5, 1000000]))
         assert hist.counts == (1, 0, 0, 0, 0, 0, 1)
 
 

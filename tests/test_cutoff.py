@@ -12,13 +12,13 @@ from numlaws import (
     DigitHistogram,
     LengthHistogram,
     NumberCorpus,
+    RankFrequencyTable,
     cutoff_report,
     estimate_cutoff_gamma,
     estimate_cutoff_zipf,
     fit_benford,
     fit_gamma,
     fit_zipf,
-    rank_frequency,
     sample_gamma_lengths,
 )
 from numlaws.cutoff import REFERENCE_BOUNDARY_SHARES, gamma_deviation
@@ -97,7 +97,7 @@ class TestGammaCutoffIteration:
             lengths = sample_gamma_lengths(
                 10**4, rate=1.2, shape=1.1, max_length=3, seed=1000 + seed
             )
-            hist = LengthHistogram.from_lengths(lengths)
+            hist = LengthHistogram(tuple(np.bincount(lengths)[1:]))
             fit = fit_gamma(hist)
             lower, upper_init = float(lengths.min()), float(lengths.max())
             estimate = estimate_cutoff_gamma(
@@ -195,7 +195,7 @@ class TestZipfCutoffIteration:
         the lower cutoff, with fixed-point residual below 1e-9."""
         for seed in range(20):
             corpus = sample_zipf_values_cached(seed)
-            table = rank_frequency(corpus)
+            table = RankFrequencyTable.from_corpus(corpus)
             counts = np.asarray(table.counts, dtype=float)
             lower, upper_init = float(counts.min()), float(counts.max())
             n = len(counts)
@@ -318,7 +318,7 @@ class TestShareScaleCutoff:
         fit the Gamma system, each on the table's share scale; a Benford
         fit has no cutoff system."""
         corpus = sample_zipf_values_cached(0)
-        table = rank_frequency(corpus)
+        table = RankFrequencyTable.from_corpus(corpus)
         lower, upper = float(min(table.frequencies)), float(max(table.frequencies))
         zipf, gamma = fit_zipf(table), fit_gamma(table)
         assert share_scale_cutoff(table, zipf) == estimate_cutoff_zipf(
@@ -339,7 +339,7 @@ def frequency_share(table):
 class TestCutoffReport:
     def test_single_value_half_share_reported_exactly(self):
         corpus = NumberCorpus("t", (7,) * 50 + tuple(range(100, 150)))
-        table = rank_frequency(corpus)
+        table = RankFrequencyTable.from_corpus(corpus)
         estimate = estimate_cutoff_zipf(
             n=len(table), lower=float(min(table.frequencies)), alpha=0.75,
             upper_init=float(max(table.frequencies)),
@@ -351,7 +351,7 @@ class TestCutoffReport:
 
     def test_within_boundary_flag(self):
         corpus = NumberCorpus("t", tuple(range(1, 100)))
-        table = rank_frequency(corpus)
+        table = RankFrequencyTable.from_corpus(corpus)
         estimate = estimate_cutoff_zipf(
             n=len(table), lower=0.5, alpha=1.0, upper_init=0.9
         )
@@ -361,7 +361,7 @@ class TestCutoffReport:
 
     def test_reference_context_carried(self):
         corpus = NumberCorpus("t", (7,) * 5 + (8,) * 3)
-        table = rank_frequency(corpus)
+        table = RankFrequencyTable.from_corpus(corpus)
         estimate = estimate_cutoff_zipf(n=2, lower=0.375, alpha=1.0, upper_init=0.625)
         payload = cutoff_report({"frequency": estimate}, frequency_share(table)).to_dict()
         assert payload["reference_shares"] == REFERENCE_BOUNDARY_SHARES

@@ -12,6 +12,7 @@ from numlaws import (
     DigitHistogram,
     LengthHistogram,
     NumberCorpus,
+    RankFrequencyTable,
     SyntheticHistogram,
     exact_histogram,
     fit_benford,
@@ -20,7 +21,6 @@ from numlaws import (
     fit_zipf,
     fit_zipf_on_lengths,
     pooled_fit,
-    rank_frequency,
     sample_benford_digits,
     sample_zipf_values,
 )
@@ -56,7 +56,7 @@ class TestBenfordFit:
 
     def test_large_sample_scores_high(self):
         digits = sample_benford_digits(10**6, seed=123)
-        fit = fit_benford(DigitHistogram.from_digits(digits))
+        fit = fit_benford(DigitHistogram(tuple(np.bincount(digits, minlength=10)[1:])))
         assert fit.scores.r_squared > 0.99
 
     def test_uniform_histogram_fails_verdict(self):
@@ -83,7 +83,7 @@ class TestZipfFit:
 
     def test_sampled_recovery(self):
         corpus = sample_zipf_values(10**5, alpha=0.75, support_size=200, seed=4711)
-        fit = fit_zipf(rank_frequency(corpus))
+        fit = fit_zipf(RankFrequencyTable.from_corpus(corpus))
         assert abs(fit.model.exponent - 0.75) < 0.05
 
     def test_scale_equivariance(self):
@@ -489,7 +489,7 @@ class TestPooledFit:
     def test_single_corpus_equals_direct_fit(self):
         corpus = sample_zipf_values(5000, alpha=0.75, support_size=100, seed=9)
         pooled = pooled_fit([corpus], "frequency")
-        direct = fit_zipf(rank_frequency(corpus))
+        direct = fit_zipf(RankFrequencyTable.from_corpus(corpus))
         assert pooled.model == direct.model
         assert pooled.curve == direct.curve
 
@@ -511,7 +511,7 @@ class TestPooledFit:
                 )
                 for j in range(5)
             ]
-            fits = [fit_zipf(rank_frequency(c)) for c in corpora]
+            fits = [fit_zipf(RankFrequencyTable.from_corpus(c)) for c in corpora]
             individual_errors.append(
                 np.mean([abs(f.model.exponent - truth) for f in fits])
             )

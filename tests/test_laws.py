@@ -10,15 +10,16 @@ from scipy.integrate import quad
 from numlaws import (
     BenfordModel,
     GammaModel,
+    SyntheticHistogram,
     ZipfModel,
     benford_pmf,
     discrete_normalize,
-    gamma_density,
-    model_from_dict,
-    model_to_dict,
-    zipf_value,
+    fit_benford,
+    fit_gamma,
+    fit_zipf,
 )
 from numlaws.errors import DegenerateModelError
+from numlaws.pipeline import _encode
 
 POOLED_DIGIT_LAW = GammaModel(amplitude=0.38, rate=0.32, shape=1.027)
 
@@ -46,18 +47,18 @@ class TestBenford:
 class TestZipf:
     def test_rank_one_returns_scale(self):
         model = ZipfModel(exponent=1.3, scale=0.7)
-        assert zipf_value(1, model) == pytest.approx(0.7, abs=1e-15)
+        assert model.weights([1])[0] == pytest.approx(0.7, abs=1e-15)
 
     def test_pooled_parameterization(self):
         model = ZipfModel(exponent=0.75, scale=0.054)
-        assert zipf_value(1, model) == pytest.approx(0.054, abs=1e-15)
+        assert model.weights([1])[0] == pytest.approx(0.054, abs=1e-15)
 
     def test_rank_sixteen_canonical(self):
-        assert zipf_value(16, ZipfModel(exponent=1.0, scale=1.0)) == 0.0625
+        assert ZipfModel(exponent=1.0, scale=1.0).weights([16])[0] == 0.0625
 
     def test_rank_below_one_rejected(self):
         with pytest.raises(ValueError):
-            zipf_value(0, ZipfModel(exponent=1.0, scale=1.0))
+            ZipfModel(exponent=1.0, scale=1.0).weights([0])
 
     def test_strictly_decreasing_for_positive_exponent(self):
         rng = np.random.default_rng(17)
@@ -79,7 +80,7 @@ class TestZipf:
 class TestGamma:
     def test_pointwise_value(self):
         # 0.38 * exp(-0.32): the x**(shape-1) factor is exactly 1 at x=1
-        assert gamma_density(1.0, POOLED_DIGIT_LAW) == pytest.approx(0.2759366, abs=5e-8)
+        assert POOLED_DIGIT_LAW.weights([1.0])[0] == pytest.approx(0.2759366, abs=5e-8)
 
     def test_rate_zero_shape_one_is_constant(self):
         model = GammaModel(amplitude=0.4, rate=0.0, shape=1.0)
@@ -87,16 +88,17 @@ class TestGamma:
         np.testing.assert_allclose(values, 0.4, atol=1e-15)
 
     def test_decay_dominates_small_power(self):
-        assert gamma_density(2.0, POOLED_DIGIT_LAW) < gamma_density(1.0, POOLED_DIGIT_LAW)
+        at_one, at_two = POOLED_DIGIT_LAW.weights([1.0, 2.0])
+        assert at_two < at_one
 
     def test_vanishes_at_infinity_for_positive_rate(self):
-        assert gamma_density(5000.0, POOLED_DIGIT_LAW) < 1e-300 or gamma_density(5000.0, POOLED_DIGIT_LAW) == 0.0
+        assert POOLED_DIGIT_LAW.weights([5000.0])[0] < 1e-300
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            gamma_density(0.0, POOLED_DIGIT_LAW)
+            POOLED_DIGIT_LAW.weights([0.0])
         with pytest.raises(ValueError):
-            gamma_density(-1.0, POOLED_DIGIT_LAW)
+            POOLED_DIGIT_LAW.weights([-1.0])
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -108,7 +110,7 @@ class TestGamma:
         for rate, shape in [(0.5, 2.0), (1.3, 0.8), (2.0, 3.5)]:
             amplitude = rate**shape / math.gamma(shape)
             model = GammaModel(amplitude=amplitude, rate=rate, shape=shape)
-            integral, _ = quad(lambda x: gamma_density(x, model), 0, np.inf)
+            integral, _ = quad(lambda x: model.weights([x])[0], 0, np.inf)
             assert abs(integral - 1.0) < 1e-6
 
     def test_normalization_invariant_under_amplitude_rescale(self):
@@ -155,6 +157,9 @@ class TestDiscreteNormalize:
             discrete_normalize(model, range(10, 20))
 
 
+FITTERS = {"benford": fit_benford, "zipf": fit_zipf, "gamma": fit_gamma}
+
+
 class TestModelSerialization:
     @pytest.mark.parametrize(
         "model",
@@ -165,9 +170,11 @@ class TestModelSerialization:
         ],
     )
     def test_round_trip(self, model):
-        payload = json.loads(json.dumps(model_to_dict(model)))
-        assert model_from_dict(payload) == model
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            model_from_dict({"model": "poisson", "params": {}})
+        """A fit of the model's own pmf writes JSON ``params`` that rebuild
+        the fitted model exactly."""
+        support = np.arange(1, 10, dtype=float)
+        view = SyntheticHistogram(support, discrete_normalize(model, support))
+        fit = FITTERS[model.name](view)
+        payload = json.loads(_encode(fit))
+        assert payload["model"] == model.name
+        assert type(model)(**payload["params"]) == fit.model

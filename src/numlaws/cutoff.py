@@ -15,14 +15,17 @@ exponent alpha rather than 1/alpha):
     map(upper) = lower * (n / (n*(upper/lower)**alpha - 1))**alpha
 
 The cutoff is the fixed point ``map(u) = u``.  Both maps decrease in
-``u``, so ``map(u) - u`` has exactly one root.  Brent's method finds it
-on the residual in ``y = log(u/lower)``, inside a closed-form bracket:
-``(0, log 2/alpha)`` for Gamma, ``(-log n/alpha, log 2/alpha]`` for Zipf,
-whose lower end is the edge of the map's domain.  The first evaluation,
-at the largest observed object, picks the side that holds the root.  A
-root beyond the floats, or an evaluation that overflows, raises
-CutoffNumericError, which the pipeline notes in the section as
-``cutoff failed: ...``.
+``u``, so ``map(u) - u`` has exactly one root.  Brent's method (Brent
+1973, as SciPy's ``brentq``; ported in ``_solvers``) finds it on the
+residual in ``y = log(u/lower)``.  It converges when half its bracket is
+below ``(xtol + 4*eps*|y|)/2``, with ``xtol = _XTOL/max(alpha, 1)``, and
+reports ``converged`` false if it has not after 100 steps.  It searches
+a closed-form bracket: ``(0, log 2/alpha)`` for Gamma, ``(-log n/alpha,
+log 2/alpha]`` for Zipf, whose lower end is the edge of the map's
+domain.  The first evaluation, at the largest observed object, picks
+the side that holds the root.  A root beyond the floats, or an
+evaluation that overflows, raises CutoffNumericError, which the
+pipeline notes in the section as ``cutoff failed: ...``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
+from ._solvers import brent
 from .errors import CutoffNumericError
 
 # published headline boundary shares for large financial-statement
@@ -112,9 +114,7 @@ def _solve(law, log_map, y_floor, n, lower, alpha, rate, upper_init):
             raise CutoffNumericError(
                 f"{law} cutoff has no root within the float range", trace=cutoffs.values()
             )
-        root, result = brentq(
-            residual, a, b, xtol=_XTOL / max(alpha, 1.0), full_output=True, disp=False
-        )
+        root, converged = brent(residual, a, b, xtol=_XTOL / max(alpha, 1.0))
         upper = cutoffs[root]
         deviation = gamma_deviation(n, lower, upper, alpha, rate)
     except OverflowError as exc:
@@ -129,7 +129,7 @@ def _solve(law, log_map, y_floor, n, lower, alpha, rate, upper_init):
         upper_cutoff=upper,
         deviation=deviation,
         trace=tuple(trace),
-        converged=result.converged,
+        converged=converged,
         iterations=len(cutoffs),
     )
 

@@ -41,12 +41,14 @@ FOOTNOTE_MARKERS = "^*†‡¹²³⁰⁴⁵⁶⁷⁸⁹"
 # (old, new) in order: free "_", then make it the one separator
 _SWAPS = (("_", " "), *((separator, "_") for separator in THOUSANDS_SEPARATORS))
 _GROUP = r"_[0-9]{3}(?![0-9])"
-# No digit or dot before the run ("1.2.3" must not leak "3").  The
+# No digit or dot before the run ("1.2.3" must not leak "3"); the run's
+# first digit is matched before that lookbehind, so the pattern starts
+# with a digit class and the search skips prose without trying it.  The
 # lookahead rejects a run that goes on (a digit or a further group), so a
 # match is always the whole run, and then rejects the whole run when a
 # decimal fraction or a footnote marker follows it.
 _TOKEN = re.compile(
-    rf"(?<![0-9.])[0-9]+(?:{_GROUP})*"
+    rf"[0-9](?<![0-9.][0-9])[0-9]*(?:{_GROUP})*"
     rf"(?![0-9]|{_GROUP}|\.[0-9]|[{re.escape(FOOTNOTE_MARKERS)}])"
 )
 

@@ -15,10 +15,18 @@ so a wrapper around one of them sees exactly one call per fit.
   variable projection: the amplitude is profiled out exactly by a linear
   solve, and one Levenberg-Marquardt run refines (log rate, shape) from
   a closed-form least-squares start in log space, with the exact
-  Golub-Pereyra Jacobian of the profiled residual.  The log-rate is
-  clamped to [-700, 700].  ``fit_gamma_rate_zero`` pins the rate to zero
-  for the pure power-law comparison variant; the full fit runs that
-  nested fit too and keeps whichever fits better.
+  Golub-Pereyra Jacobian of the profiled residual.  The run is MINPACK's
+  ``lmder`` (Moré 1978, ported in ``_solvers``) with unit column scaling:
+  scaling by the Jacobian's column norms would let one step at a tiny
+  rate move the log-rate by hundreds.  It converges when the actual and
+  the predicted relative reduction of the SSE are both at most
+  ``_FTOL``, when its step bound falls to ``_XTOL`` times the norm of
+  the parameters, or when the residual's cosine with every Jacobian
+  column is at most ``_FTOL``; a run still going after
+  ``_MAX_EVALUATIONS`` residual evaluations fails the fit.  The
+  log-rate is clamped to [-700, 700].  ``fit_gamma_rate_zero`` pins the
+  rate to zero for the pure power-law comparison variant; the full fit
+  runs that nested fit too and keeps whichever fits better.
 - A histogram whose squared error falls toward its infimum only as the
   parameters grow without bound has no least-squares Gamma fit.  That
   infimum has a closed form, and a run whose best point approaches it
@@ -33,8 +41,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._solvers import levenberg_marquardt
 from .corpus import (
     DigitHistogram,
     LengthHistogram,
@@ -258,27 +266,23 @@ def _gamma_refine(support, observed, log_support, rate_zero):
         return r
 
     try:
-        result = least_squares(
+        theta, r, converged = levenberg_marquardt(
             residual,
+            lambda theta: _gamma_jacobian(theta, support, observed, log_support),
             _gamma_start(support, observed, log_support, rate_zero),
-            jac=lambda theta: _gamma_jacobian(theta, support, observed, log_support),
-            method="lm",
-            # a fixed trust region: scaling by the Jacobian lets one step
-            # at a tiny rate move the log-rate by hundreds
-            x_scale=1.0,
             xtol=_XTOL,
             ftol=_FTOL,
             gtol=_FTOL,
-            max_nfev=_MAX_EVALUATIONS,
+            max_evaluations=_MAX_EVALUATIONS,
         )
     except _Unbounded as stop:
         return limit, stop.args[0], evaluations, True
-    if result.status == 0:
+    if not converged:
         raise FitFailureError(
             f"Gamma optimizer did not converge in {_MAX_EVALUATIONS} evaluations",
-            best_params=tuple(result.x),
+            best_params=tuple(float(t) for t in theta),
         )
-    return 2.0 * result.cost, result.x, evaluations, False
+    return float(r @ r), theta, evaluations, False
 
 
 def _fit_gamma(view, rate_zero) -> FitResult:

@@ -1,0 +1,267 @@
+"""numlaws' own solvers against SciPy, their oracle.
+
+numlaws runs MINPACK's Levenberg-Marquardt and Brent's root finder
+itself, so SciPy is a test dependency only.  Each test solves the same
+problem twice: once through the solver numlaws calls, and once with that
+solver swapped for ``scipy.optimize.least_squares(method="lm")`` or
+``brentq`` with the arguments numlaws used to pass.  Both runs must
+evaluate the same points in the same order, end the same way, and return
+bit-equal results.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, least_squares
+
+import numlaws
+from numlaws import _solvers, cutoff, fitting
+from numlaws.errors import CutoffNumericError, FitFailureError
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "tests" / "data"
+DIGITS = np.arange(1.0, 10.0)
+
+
+def scipy_lm(fun, jac, x0, xtol, ftol, gtol, max_evaluations):
+    result = least_squares(
+        fun, x0, jac=jac, method="lm", x_scale=1.0,
+        xtol=xtol, ftol=ftol, gtol=gtol, max_nfev=max_evaluations,
+    )
+    return result.x, result.fun, result.status != 0
+
+
+def scipy_brent(f, a, b, xtol):
+    root, result = brentq(f, a, b, xtol=xtol, full_output=True, disp=False)
+    return root, result.converged
+
+
+def bits(values):
+    return tuple(float(v).hex() for v in np.atleast_1d(values))
+
+
+def logged_lm(solver, log):
+    """``solver`` with every evaluated point and its result appended to ``log``."""
+
+    def run(fun, jac, x0, **tolerances):
+        def fun_logged(theta):
+            log.append(bits(theta))
+            return fun(theta)
+
+        x, f, converged = solver(fun_logged, jac, x0, **tolerances)
+        log.append(("x", bits(x), "cost", bits(0.5 * np.dot(f, f)), converged))
+        return x, f, converged
+
+    return run
+
+
+def logged_brent(solver, log):
+    def run(f, a, b, xtol):
+        def f_logged(y):
+            log.append(bits(y))
+            return f(y)
+
+        root, converged = solver(f_logged, a, b, xtol)
+        log.append(("root", bits(root), converged))
+        return root, converged
+
+    return run
+
+
+def outcome(call):
+    """What ``call()`` returned, or the type and message of the error it raised."""
+    try:
+        return call()
+    except (FitFailureError, CutoffNumericError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def refine_both(support, observed, rate_zero):
+    """One Gamma run, through each solver: (log, outcome) per solver."""
+    runs = []
+    for solver in (_solvers.levenberg_marquardt, scipy_lm):
+        log = []
+        with mock.patch.object(fitting, "levenberg_marquardt", logged_lm(solver, log)):
+            result = outcome(
+                lambda: fitting._gamma_refine(support, observed, np.log(support), rate_zero)
+            )
+        if isinstance(result, tuple) and len(result) == 4:
+            sse, theta, evaluations, unbounded = result
+            result = bits(sse), bits(theta), evaluations, unbounded
+        runs.append((log, result))
+    return runs
+
+
+def solve_both(call):
+    """``call()``, a cutoff solve, through each solver: (log, outcome) per solver."""
+    runs = []
+    for solver in (_solvers.brent, scipy_brent):
+        log = []
+        with mock.patch.object(cutoff, "brent", logged_brent(solver, log)):
+            runs.append((log, outcome(call)))
+    return runs
+
+
+def assert_same_gamma_runs(support, observed):
+    for rate_zero in (True, False):
+        ours, theirs = refine_both(np.asarray(support, float), np.asarray(observed, float),
+                                   rate_zero)
+        assert ours == theirs
+
+
+def recorded_problems(analyze):
+    """The Gamma runs and cutoff solves that ``analyze()`` makes."""
+    refines, solves = [], []
+    refine, solve = fitting._gamma_refine, cutoff._solve
+
+    def record_refine(support, observed, log_support, rate_zero):
+        refines.append((support, observed, rate_zero))
+        return refine(support, observed, log_support, rate_zero)
+
+    def record_solve(*args):
+        solves.append(args)
+        return solve(*args)
+
+    with mock.patch.object(fitting, "_gamma_refine", record_refine), \
+            mock.patch.object(cutoff, "_solve", record_solve):
+        analyze()
+    return refines, solves
+
+
+def assert_same_problems(refines, solves):
+    assert refines and solves
+    for support, observed, rate_zero in refines:
+        ours, theirs = refine_both(support, observed, rate_zero)
+        assert ours == theirs
+    for args in solves:
+        ours, theirs = solve_both(lambda: cutoff._solve(*args))
+        assert ours == theirs
+
+
+def analyze_text(path):
+    def analyze():
+        corpus = numlaws.read_text_corpus(path)
+        numlaws.build_report(corpus, numlaws.AnalysisConfig(cutoff=True))
+
+    return analyze
+
+
+@pytest.mark.parametrize("name", ["sample_corpus.txt", "statement_fixture.txt"])
+def test_same_runs_on_the_golden_and_fixture_inputs(name):
+    assert_same_problems(*recorded_problems(analyze_text(DATA_DIR / name)))
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_same_runs_on_the_benchmark_tiny_corpora(tmp_path):
+    """Every tiny and degenerate corpus of the benchmark, the two known
+    faults among them."""
+    cases = load_workloads().tiny(1, tmp_path)
+    labels = {case.label for case in cases}
+    assert {"fault_a_overflow", "fault_b_nonfinite"} <= labels
+
+    def analyze():
+        for case in cases:
+            case.run()
+
+    assert_same_problems(*recorded_problems(analyze))
+
+
+@pytest.mark.parametrize(
+    "counts", [(0, 0, 4, 0, 0, 0, 1, 1, 0), (400, 20, 20, 20, 20, 20, 20, 30, 450)]
+)
+def test_same_runs_on_sparse_and_u_shaped_digits(counts):
+    counts = np.array(counts, dtype=float)
+    assert_same_gamma_runs(DIGITS, counts / counts.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 1000), min_size=3, max_size=18).filter(
+        lambda counts: sum(c > 0 for c in counts) >= 3
+    )
+)
+def test_same_runs_on_count_histograms(counts):
+    counts = np.array(counts, dtype=float)
+    assert_same_gamma_runs(np.arange(1.0, len(counts) + 1), counts / counts.sum())
+
+
+@pytest.mark.parametrize("max_evaluations", [1, 2, 4])
+def test_same_stop_at_the_evaluation_bound(max_evaluations):
+    """A run cut short by its evaluation bound stops at the same point,
+    unconverged, after as many evaluations; the first trial step is
+    always evaluated."""
+    support = DIGITS
+    observed = np.array([30, 17, 13, 10, 8, 7, 6, 5, 4], dtype=float) / 100
+    log_support = np.log(support)
+    runs = []
+    for solver in (_solvers.levenberg_marquardt, scipy_lm):
+        log = []
+        logged_lm(solver, log)(
+            lambda theta: fitting._gamma_profile(theta, support, observed, log_support)[0],
+            lambda theta: fitting._gamma_jacobian(theta, support, observed, log_support),
+            fitting._gamma_start(support, observed, log_support, rate_zero=False),
+            xtol=fitting._XTOL, ftol=fitting._FTOL, gtol=fitting._FTOL,
+            max_evaluations=max_evaluations,
+        )
+        runs.append(log)
+    assert runs[0] == runs[1]
+    assert runs[0][-1][-1] is False
+    assert len(runs[0]) == max(max_evaluations, 2) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10**9), st.floats(1e-3, 1e3), st.floats(0.05, 20.0),
+       st.floats(0.0, 5.0), st.floats(1.0, 1e6))
+def test_same_cutoff_solves(n, lower, alpha, rate, spread):
+    upper = lower * spread
+    ours, theirs = solve_both(lambda: cutoff.estimate_cutoff_gamma(n, lower, alpha, rate, upper))
+    assert ours == theirs
+    ours, theirs = solve_both(lambda: cutoff.estimate_cutoff_zipf(n, lower, alpha, upper))
+    assert ours == theirs
+
+
+def test_brent_refuses_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        _solvers.brent(lambda y: y * y + 1.0, -1.0, 1.0, xtol=1e-12)
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    """Importing numlaws and analyzing the statement fixture, through the
+    API and through the CLI with every output format, leaves SciPy
+    unimported: it would double the start-up time."""
+    code = (
+        "import sys\n"
+        "import numlaws\n"
+        "from numlaws import cli\n"
+        "corpus = numlaws.read_text_corpus(sys.argv[1])\n"
+        "numlaws.report_to_json(numlaws.build_report(corpus, numlaws.AnalysisConfig(cutoff=True)))\n"
+        "assert cli.main(['analyze', '--input', sys.argv[1], '--cutoff',\n"
+        "                 '--out-dir', sys.argv[2], '--format', 'both']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(DATA_DIR / "statement_fixture.txt"), str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "report.json").exists()

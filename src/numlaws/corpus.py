@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -32,7 +32,12 @@ from .errors import EmptyCorpusError, EmptyHistogramError, IngestError
 
 @dataclass(frozen=True)
 class NumberCorpus:
-    """Ordered multiset of non-negative integers with source metadata."""
+    """Ordered multiset of non-negative integers with source metadata.
+
+    ``values`` may be any iterable of ints or integer strings, such as
+    "1_234"; each is converted once, with ``int()``, into the tuple the
+    corpus keeps.
+    """
 
     label: str
     values: tuple[int, ...]
@@ -205,16 +210,19 @@ class RankFrequencyTable(_CountsView):
     def __post_init__(self):
         if len(self.values) != len(self.counts) or not self.values:
             raise ValueError("values and counts must be equal-length and non-empty")
-        if any(c < 1 for c in self.counts):
+        counts = tuple(map(int, self.counts))
+        if min(counts) < 1:
             raise ValueError("rank-frequency counts must be positive")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "values", tuple(map(int, self.values)))
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "RankFrequencyTable":
-        ordered = sorted(corpus.value_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        values, counts = zip(*ordered)
-        return cls(values, counts)
+        counts = corpus.value_counts
+        # stable: equal counts keep the ascending order of the first sort
+        values = sorted(counts)
+        values.sort(key=counts.__getitem__, reverse=True)
+        return cls(values, tuple(map(counts.__getitem__, values)))
 
     def __len__(self):
         return len(self.values)
@@ -225,5 +233,5 @@ def merge_corpora(corpora, label="pooled") -> NumberCorpus:
     corpora = list(corpora)
     if not corpora:
         raise EmptyCorpusError("no corpora to merge")
-    values = tuple(v for c in corpora for v in c.values)
+    values = chain.from_iterable(c.values for c in corpora)
     return NumberCorpus(label=label, values=values)

@@ -1,6 +1,6 @@
 """Integer token extraction from plain text and CSV sources.
 
-One fixed rule set, applied by one compiled pattern in a single pass:
+One fixed rule set, applied by one compiled pattern:
 
 - a token is a maximal run of digits, optionally continued by groups of
   exactly three digits each led by a thousands separator (comma, thin
@@ -21,6 +21,16 @@ reads, and then every thousands separator becomes an underscore, so a
 token reads as a Python integer literal ("1_234") and ``int()`` strips
 its separators.  ``int()`` counts only digits against the interpreter's
 integer string conversion limit, so the underscores do not move it.
+
+The pattern's ``findall`` reads the text in consecutive windows of about
+``_WINDOW`` characters, so only one window's token strings are held at a
+time, and ``NumberCorpus`` converts each token once.  A window ends just
+after a character other than a digit, "_" or ".", so no token, group or
+lookahead crosses its edge and the tokens are those of one pass over the
+whole text.  A text with no such character is read as one window.  A
+window of digits and ASCII spaces, tabs and line breaks alone, as in a
+file of one integer per line, is split on its spaces instead: every
+digit run in it is a token.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ import csv
 import io
 import itertools
 import re
-from operator import itemgetter
 from pathlib import Path
 
 from .corpus import NumberCorpus
@@ -51,6 +60,16 @@ _TOKEN = re.compile(
     rf"[0-9](?<![0-9.][0-9])[0-9]*(?:{_GROUP})*"
     rf"(?![0-9]|{_GROUP}|\.[0-9]|[{re.escape(FOOTNOTE_MARKERS)}])"
 )
+# characters per window, before it is stretched to an edge
+_WINDOW = 1 << 16
+# A window ends just after a character that continues no token and past
+# which no lookahead reads: a footnote marker is read only as the one
+# character after a run, so it may end a window too.
+_EDGE = re.compile(r"[^0-9_.]")
+# In a window of digits and ASCII spaces alone every digit run is a token,
+# so ``str.split`` reads it faster than the pattern.
+_PLAIN = re.compile(r"[0-9 \t\n\r]*")
+_TOO_MANY_DIGITS = "an integer token has too many digits to convert"
 
 
 def _swap_separators(text: str) -> str:
@@ -60,12 +79,17 @@ def _swap_separators(text: str) -> str:
     return text
 
 
-def _integers(tokens) -> tuple[int, ...]:
-    """The integers the token strings print; ``int()`` strips their "_"."""
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:  # beyond the interpreter's integer string conversion limit
-        raise IngestError("an integer token has too many digits to convert") from None
+def _token_windows(text: str):
+    """The token strings of a swapped ``text``, one window's list at a time."""
+    pos = 0
+    while pos < len(text):
+        edge = _EDGE.search(text, pos + _WINDOW)
+        end = len(text) if edge is None else edge.end()
+        if _PLAIN.fullmatch(text, pos, end):
+            yield text[pos:end].split()
+        else:
+            yield _TOKEN.findall(text, pos, end)
+        pos = end
 
 
 def extract_numbers(
@@ -75,10 +99,13 @@ def extract_numbers(
 
     Raises EmptyCorpusError when no token survives the filtering rules.
     """
-    values = _integers(map(itemgetter(0), _TOKEN.finditer(_swap_separators(text))))
-    if not values:
-        raise EmptyCorpusError(f"no integer tokens found for {label!r}")
-    return NumberCorpus(label=label, values=values, year=year)
+    tokens = itertools.chain.from_iterable(_token_windows(_swap_separators(text)))
+    try:
+        return NumberCorpus(label=label, values=tokens, year=year)
+    except EmptyCorpusError:
+        raise EmptyCorpusError(f"no integer tokens found for {label!r}") from None
+    except ValueError:  # beyond the interpreter's integer string conversion limit
+        raise IngestError(_TOO_MANY_DIGITS) from None
 
 
 def parse_cell(cell: str) -> int | None:
@@ -88,7 +115,12 @@ def parse_cell(cell: str) -> int | None:
     if cell.startswith("(") and cell.endswith(")"):
         cell = cell[1:-1].strip().removeprefix("-").lstrip()
     match = _TOKEN.fullmatch(_swap_separators(cell))
-    return None if match is None else _integers((match[0],))[0]
+    if match is None:
+        return None
+    try:
+        return int(match[0])
+    except ValueError:  # beyond the interpreter's integer string conversion limit
+        raise IngestError(_TOO_MANY_DIGITS) from None
 
 
 def _decode(path: Path) -> str:
@@ -131,7 +163,10 @@ def read_csv_corpus(path, column, year: int | None = None) -> NumberCorpus:
         if not is_header:
             rows = itertools.chain([header], rows)  # a data row, not a header
     cells = (row[index] for row in rows if index < len(row))
-    values = tuple(v for v in map(parse_cell, cells) if v is not None)
-    if not values:
-        raise EmptyCorpusError(f"{path}: column {column!r} has no integer values")
-    return NumberCorpus(label=path.stem, values=values, year=year)
+    values = (v for v in map(parse_cell, cells) if v is not None)
+    try:
+        return NumberCorpus(label=path.stem, values=values, year=year)
+    except EmptyCorpusError:
+        raise EmptyCorpusError(
+            f"{path}: column {column!r} has no integer values"
+        ) from None

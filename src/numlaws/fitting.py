@@ -110,9 +110,9 @@ def _build_result(model, support, observed, curve, iterations) -> FitResult:
     residual = float(np.sum((observed - curve) ** 2))
     return FitResult(
         model=model,
-        support=tuple(float(x) for x in support),
-        observed=tuple(float(y) for y in observed),
-        curve=tuple(float(y) for y in curve),
+        support=tuple(support.tolist()),
+        observed=tuple(observed.tolist()),
+        curve=tuple(curve.tolist()),
         scores=scores,
         verdict=classify_fit(scores),
         residual_sum=residual,

@@ -236,9 +236,9 @@ def analyze_dimension(
     candidates = [name for name, _ in spec.fits if name in fits]
     return AnalysisSection(
         dimension=dimension,
-        support=tuple(float(x) for x in view.support),
+        support=tuple(view.support.tolist()),
         counts=view.counts,
-        frequencies=tuple(float(f) for f in view.frequencies),
+        frequencies=tuple(view.frequencies.tolist()),
         fits=fits,
         # only the rank table carries the distinct values it ranks
         values=getattr(view, "values", None),
@@ -501,8 +501,14 @@ def write_plot_bundles(report: AnalysisReport, out_dir) -> list:
                 path = out_dir / f"{analysis.label}.{dimension}.{model_name}.csv"
                 lines = ["support,observed,fitted,fitted_pmf,abs_gradient"]
                 lines.extend(
-                    ",".join(repr(float(v)) for v in row)
-                    for row in zip(support, fit.observed, curve, normalized, gradient)
+                    ",".join(map(float.__repr__, row))
+                    for row in zip(
+                        support.tolist(),
+                        fit.observed,
+                        curve.tolist(),
+                        normalized.tolist(),
+                        gradient.tolist(),
+                    )
                 )
                 path.write_text("\n".join(lines) + "\n", encoding="utf-8")
                 written.append(path)

@@ -63,7 +63,7 @@ def sample_zipf_values(
     else:
         pmf = discrete_normalize(ZipfModel(exponent=alpha, scale=1.0), values)
     draws = _sample_discrete(pmf, values, n, seed)
-    return NumberCorpus(label=label, values=tuple(int(v) for v in draws), year=year)
+    return NumberCorpus(label=label, values=draws.tolist(), year=year)
 
 
 def sample_gamma_lengths(
@@ -81,6 +81,6 @@ def exact_histogram(model, support) -> SyntheticHistogram:
     """Deterministic infinite-sample histogram for exact-recovery tests."""
     pmf = discrete_normalize(model, support)
     return SyntheticHistogram(
-        support=tuple(float(x) for x in np.asarray(support, dtype=float)),
-        frequencies=tuple(float(p) for p in pmf),
+        support=tuple(np.asarray(support, dtype=float).tolist()),
+        frequencies=tuple(pmf.tolist()),
     )

@@ -1,13 +1,17 @@
 """Token extraction rules over plain text and CSV sources."""
 
+import random
 import re
+import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numlaws import extract_numbers, read_csv_corpus, read_text_corpus
+from numlaws import extract, extract_numbers, read_csv_corpus, read_text_corpus
 from numlaws.errors import EmptyCorpusError, IngestError
 from numlaws.extract import FOOTNOTE_MARKERS, THOUSANDS_SEPARATORS, parse_cell
 
@@ -211,6 +215,48 @@ class TestFileIngestion:
         assert read_text_corpus(path).values == values
 
 
+class TestWindows:
+    """Extraction reads bounded windows; their edges change no token."""
+
+    def test_multi_window_file_reads_back_in_order(self, tmp_path):
+        rng = random.Random(3)
+        values = tuple(rng.randrange(10 ** rng.randrange(1, 13)) for _ in range(40_000))
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n".join(map(str, values)) + "\n", encoding="utf-8")
+        assert path.stat().st_size > 3 * extract._WINDOW
+        assert read_text_corpus(path).values == values
+
+    def test_text_without_an_edge_is_one_window(self):
+        text = "1,234,567.5." + "1,234" * 20 + "12345"  # digits, separators, dots
+        swapped = extract._swap_separators(text)
+        with mock.patch.object(extract, "_WINDOW", 4):
+            assert len(list(extract._token_windows(swapped))) == 1
+            assert extract_numbers(text).values == oracle_tokens(text)
+
+    def test_overlong_token_in_a_later_window_is_an_ingest_error(self):
+        text = "1\n" * extract._WINDOW + "9" * 5000
+        with pytest.raises(IngestError, match="too many digits"):
+            extract_numbers(text)
+
+    def test_token_strings_are_not_all_held_at_once(self):
+        """Extraction's traced peak exceeds what the corpus keeps by well
+        under the size of all token strings, which reading the whole text
+        at once would hold.  150,000 distinct tokens keep the corpus's
+        count table smaller than those strings, so its own growth cannot
+        hide them."""
+        values = random.Random(0).sample(range(10**11, 10**12), 150_000)
+        text = "\n".join(map(str, values)) + "\n"
+        token_bytes = sum(sys.getsizeof(str(v)) for v in values)
+        tracemalloc.start()
+        try:
+            corpus = extract_numbers(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corpus.values == tuple(values)
+        assert peak - kept < 0.45 * token_bytes
+
+
 # The extractor as it stood before one pattern did all the filtering, kept
 # as the oracle: match a digit run with its three-digit groups and any
 # decimal part, then skip decimals and runs a footnote marker follows.
@@ -268,12 +314,16 @@ class TestAgainstOracle:
     @settings(max_examples=3000, deadline=None)
     @given(_TEXTS)
     def test_extract_numbers(self, text):
+        """Also with windows of 1-8 characters, whose edges then fall
+        inside runs, groups and decimals and before footnote markers."""
         expected = oracle_tokens(text)
-        if not expected:
-            with pytest.raises(EmptyCorpusError):
-                extract_numbers(text)
-        else:
-            assert extract_numbers(text).values == expected
+        for window in (extract._WINDOW, *range(1, 9)):
+            with mock.patch.object(extract, "_WINDOW", window):
+                if not expected:
+                    with pytest.raises(EmptyCorpusError):
+                        extract_numbers(text)
+                else:
+                    assert extract_numbers(text).values == expected
 
     @settings(max_examples=3000, deadline=None)
     @given(_CELLS)

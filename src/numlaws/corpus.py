@@ -12,17 +12,24 @@ views feed the conformity analyses:
 
 All three views and the summary statistics depend only on how often each
 distinct value occurs, so they are built from one value->count table,
-``NumberCorpus.value_counts``, counted when the corpus is built.  The
-range checks read that table's distinct keys too.  Each view
-inspects every distinct value once, weighted by its count, instead of
-every occurrence; ``values`` keeps the document order.
+``NumberCorpus.value_counts``, counted when the corpus is built; the
+range checks read that table's distinct keys too.  The first view or
+statistic asked for sorts the distinct values once, with the running
+count of the values below each, and every other one reads that sorted
+table: the median bisects the running counts, the length and digit
+histograms take each run of values of one length, or of one first digit
+and length, with one bisection, and the rank table re-sorts the sorted
+values by count.  ``values`` keeps the document order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import operator
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
@@ -34,9 +41,10 @@ from .errors import EmptyCorpusError, EmptyHistogramError, IngestError
 class NumberCorpus:
     """Ordered multiset of non-negative integers with source metadata.
 
-    ``values`` may be any iterable of ints or integer strings, such as
-    "1_234"; each is converted once, with ``int()``, into the tuple the
-    corpus keeps.
+    ``values`` may be any iterable of integers: ints, bools or numpy
+    integers, each checked with ``operator.index`` into the tuple of ints
+    the corpus keeps.  Anything else, such as a float or a string, is a
+    TypeError; extraction converts its tokens itself.
     """
 
     label: str
@@ -47,7 +55,7 @@ class NumberCorpus:
     value_counts: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(map(int, self.values))
+        values = tuple(map(operator.index, self.values))
         if not values:
             raise EmptyCorpusError(f"corpus {self.label!r} has no values")
         counts = Counter(values)
@@ -67,15 +75,32 @@ class NumberCorpus:
     def __len__(self):
         return len(self.values)
 
+    @cached_property
+    def _ascending(self) -> tuple[list[int], array]:
+        """The distinct values in ascending order, and the running counts:
+        ``running[i]`` values lie below ``distinct[i]``, and the last entry
+        is the corpus size.  The counts are machine integers, so the table
+        adds no int object to those the corpus holds."""
+        counts = self.value_counts
+        distinct = sorted(counts)
+        return distinct, array("q", chain((0,), accumulate(map(counts.__getitem__, distinct))))
 
-def _count_by(corpus: NumberCorpus, key) -> Counter:
-    """Occurrences per ``key(value)``, one call per distinct value; None keys skipped."""
-    counts = Counter()
-    for value, count in corpus.value_counts.items():
-        k = key(value)
-        if k is not None:
-            counts[k] += count
-    return counts
+    def _count_groups(self, start: int, group) -> Counter:
+        """Occurrences per group key of the values from ``start`` up.
+
+        ``group(v)`` gives v's key and the least value above v with another
+        key, so each group is one run of the sorted distinct values and
+        costs one call and one bisection, however many values it holds.
+        """
+        distinct, running = self._ascending
+        counts = Counter()
+        i = bisect_left(distinct, start)
+        while i < len(distinct):
+            key, bound = group(distinct[i])
+            end = bisect_left(distinct, bound, i)
+            counts[key] += running[end] - running[i]
+            i = end
+        return counts
 
 
 @dataclass(frozen=True)
@@ -96,17 +121,16 @@ def corpus_stats(corpus: NumberCorpus) -> CorpusStats:
     ``statistics.median`` reads the sorted values.
     """
     counts = corpus.value_counts
-    n = len(corpus.values)
-    distinct = sorted(counts)
-    # sorted position i holds the first value whose cumulative count exceeds i
-    cumulative = list(accumulate(counts[v] for v in distinct))
-    low = distinct[bisect_right(cumulative, (n - 1) // 2)]
-    high = distinct[bisect_right(cumulative, n // 2)]
+    distinct, running = corpus._ascending
+    n = running[-1]
+    # sorted position i holds the last value with at most i values below it
+    low = distinct[bisect_right(running, (n - 1) // 2) - 1]
+    high = distinct[bisect_right(running, n // 2) - 1]
     return CorpusStats(
         observation_count=n,
         max=distinct[-1],
         min=distinct[0],
-        mean=sum(v * c for v, c in counts.items()) / n,
+        mean=sum(map(operator.mul, counts.keys(), counts.values())) / n,
         median=float(low) if n % 2 else (low + high) / 2,
     )
 
@@ -132,6 +156,19 @@ def decimal_length(n: int) -> int:
     if n < 0:
         raise ValueError("decimal_length expects a non-negative integer")
     return len(str(n))
+
+
+def _digit_group(n: int) -> tuple[int, int]:
+    """``n``'s first digit d, and the end of its group: the values of
+    first digit d and length k are [d * 10**(k - 1), (d + 1) * 10**(k - 1))."""
+    d = first_digit(n)
+    return d, (d + 1) * 10 ** (decimal_length(n) - 1)
+
+
+def _length_group(n: int) -> tuple[int, int]:
+    """``n``'s decimal length k, and the end of its group, 10**k."""
+    k = decimal_length(n)
+    return k, 10**k
 
 
 class _CountsView:
@@ -170,7 +207,7 @@ class DigitHistogram(_CountsView):
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "DigitHistogram":
-        digits = _count_by(corpus, first_digit)
+        digits = corpus._count_groups(1, _digit_group)
         if not digits:
             raise EmptyHistogramError(
                 f"corpus {corpus.label!r} has no nonzero values for digit analysis"
@@ -196,7 +233,7 @@ class LengthHistogram(_CountsView):
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "LengthHistogram":
-        lengths = _count_by(corpus, decimal_length)
+        lengths = corpus._count_groups(0, _length_group)
         return cls(tuple(lengths.get(k, 0) for k in range(1, max(lengths) + 1)))
 
 
@@ -219,9 +256,8 @@ class RankFrequencyTable(_CountsView):
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "RankFrequencyTable":
         counts = corpus.value_counts
-        # stable: equal counts keep the ascending order of the first sort
-        values = sorted(counts)
-        values.sort(key=counts.__getitem__, reverse=True)
+        # stable: equal counts keep their ascending order
+        values = sorted(corpus._ascending[0], key=counts.__getitem__, reverse=True)
         return cls(values, tuple(map(counts.__getitem__, values)))
 
     def __len__(self):

@@ -22,15 +22,19 @@ token reads as a Python integer literal ("1_234") and ``int()`` strips
 its separators.  ``int()`` counts only digits against the interpreter's
 integer string conversion limit, so the underscores do not move it.
 
-The pattern's ``findall`` reads the text in consecutive windows of about
-``_WINDOW`` characters, so only one window's token strings are held at a
-time, and ``NumberCorpus`` converts each token once.  A window ends just
-after a character other than a digit, "_" or ".", so no token, group or
-lookahead crosses its edge and the tokens are those of one pass over the
-whole text.  A text with no such character is read as one window.  A
-window of digits and ASCII spaces, tabs and line breaks alone, as in a
-file of one integer per line, is split on its spaces instead: every
-digit run in it is a token.
+Extraction reads the text in consecutive windows of about ``_WINDOW``
+characters, so only one window's tokens are held at a time.  A window
+ends just after a character other than a digit, "_" or ".", so no token,
+group or lookahead crosses its edge and the tokens are those of one pass
+over the whole text.  A text with no such character is read as one
+window.  In a window of ASCII digits, spaces, tabs and line breaks alone,
+as in a file of one integer per line, every digit run is a token: a
+numpy kernel finds the runs in its bytes and evaluates them in int64, so
+no token string is made.  Any other window, or one with a run of more
+than 18 digits, which int64 cannot hold, is read by the pattern's
+``findall`` and each token converted with ``int()``.  Either way each
+token is converted once, and ``NumberCorpus`` only checks that it is an
+integer.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ import io
 import itertools
 import re
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import NumberCorpus
 from .errors import EmptyCorpusError, IngestError
@@ -66,9 +72,10 @@ _WINDOW = 1 << 16
 # which no lookahead reads: a footnote marker is read only as the one
 # character after a run, so it may end a window too.
 _EDGE = re.compile(r"[^0-9_.]")
-# In a window of digits and ASCII spaces alone every digit run is a token,
-# so ``str.split`` reads it faster than the pattern.
-_PLAIN = re.compile(r"[0-9 \t\n\r]*")
+# The bytes of a plain window: every digit run in it is a token.
+_PLAIN = b"0123456789 \t\n\r"
+# The longest run the kernel evaluates: 10**18 - 1 < 2**63.
+_KERNEL_DIGITS = 18
 _TOO_MANY_DIGITS = "an integer token has too many digits to convert"
 
 
@@ -79,16 +86,54 @@ def _swap_separators(text: str) -> str:
     return text
 
 
+def _plain_values(window: str) -> list[int] | None:
+    """The integers of a plain ``window``, or None if it is not plain or
+    holds a run of more than ``_KERNEL_DIGITS`` digits."""
+    if not window.isascii():
+        return None
+    raw = window.encode("ascii")
+    if raw.translate(None, _PLAIN):  # what is left after deleting the plain bytes
+        return None
+    codes = np.frombuffer(raw, np.uint8)
+    # digits are the plain bytes above the space; runs start and end where
+    # the padded digit mask changes
+    is_digit = np.zeros(len(codes) + 2, bool)
+    np.greater(codes, ord(" "), out=is_digit[1:-1])
+    edges = np.flatnonzero(np.diff(is_digit))
+    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    runs_by_length = np.bincount(lengths)
+    if len(runs_by_length) > _KERNEL_DIGITS + 1:
+        return None
+    # Horner's rule, longest runs first, so that the runs with a k-th digit
+    # are the first ``longer[k]``; a uint8 key sorts by radix
+    order = np.argsort(lengths.astype(np.uint8), kind="stable")[::-1]
+    at = starts[order]
+    digits = codes - ord("0")  # uint8, so it stays as small as the window
+    values = digits[at].astype(np.int64)
+    longer = len(at) - np.cumsum(runs_by_length)
+    for k in range(1, len(runs_by_length) - 1):
+        m = longer[k]
+        at[:m] += 1
+        values[:m] *= 10
+        values[:m] += digits[at[:m]]
+    in_order = np.empty_like(values)
+    in_order[order] = values
+    return in_order.tolist()
+
+
 def _token_windows(text: str):
-    """The token strings of a swapped ``text``, one window's list at a time."""
+    """The tokens of a swapped ``text`` as integers, one window's list at a time."""
     pos = 0
     while pos < len(text):
         edge = _EDGE.search(text, pos + _WINDOW)
         end = len(text) if edge is None else edge.end()
-        if _PLAIN.fullmatch(text, pos, end):
-            yield text[pos:end].split()
-        else:
-            yield _TOKEN.findall(text, pos, end)
+        values = _plain_values(text[pos:end])
+        if values is None:
+            try:
+                values = list(map(int, _TOKEN.findall(text, pos, end)))
+            except ValueError:  # beyond the interpreter's integer string conversion limit
+                raise IngestError(_TOO_MANY_DIGITS) from None
+        yield values
         pos = end
 
 
@@ -99,13 +144,11 @@ def extract_numbers(
 
     Raises EmptyCorpusError when no token survives the filtering rules.
     """
-    tokens = itertools.chain.from_iterable(_token_windows(_swap_separators(text)))
+    values = itertools.chain.from_iterable(_token_windows(_swap_separators(text)))
     try:
-        return NumberCorpus(label=label, values=tokens, year=year)
+        return NumberCorpus(label=label, values=values, year=year)
     except EmptyCorpusError:
         raise EmptyCorpusError(f"no integer tokens found for {label!r}") from None
-    except ValueError:  # beyond the interpreter's integer string conversion limit
-        raise IngestError(_TOO_MANY_DIGITS) from None
 
 
 def parse_cell(cell: str) -> int | None:

@@ -1,11 +1,16 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numlaws.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from numlaws.pipeline import DIMENSIONS
@@ -445,6 +450,16 @@ class TestCutoffCommand:
         assert outcomes == {"estimate", "error"}
 
 
+# random bytes, and soups of digits, whitespace and separators, most of
+# which analyze
+_INPUT_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.text(
+        st.sampled_from("0123456789" * 3 + " \t\n\r\f,._\u00a0"), max_size=300
+    ).map(str.encode),
+)
+
+
 class TestExitCodeContract:
     def test_unknown_flag_is_usage_error(self):
         assert main(["stats", "--nope", "x"]) == EXIT_USAGE
@@ -459,6 +474,21 @@ class TestExitCodeContract:
                                "--support-size", "5", "--n", "10", "--seed", "0",
                                "--output", str(tmp_path / "x.txt"))
         assert usage.returncode == EXIT_USAGE
+
+    @settings(max_examples=100, deadline=None)
+    @given(_INPUT_BYTES)
+    def test_analyze_of_any_file_exits_with_a_documented_code(self, data):
+        """Whatever bytes a file holds, ``analyze`` reports a result or a
+        typed error; no other exception escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.txt"
+            path.write_bytes(data)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["analyze", "--input", str(path), "--cutoff", "--format", "both",
+                             "--out-dir", str(Path(tmp) / "out")])
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_USAGE)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestGoldenReport:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numlaws import (
@@ -58,6 +58,18 @@ class TestNumberCorpus:
         assert hash(a) == hash(b)
         assert repr(a) == repr(b) == "NumberCorpus(label='t', values=(5, 1, 5), year=None)"
         assert a != make_corpus([1, 5, 5])
+
+    def test_values_are_integers_kept_as_ints(self):
+        corpus = NumberCorpus("t", [True, np.int64(12), 7, *np.array([3], dtype=np.uint8)])
+        assert corpus.values == (1, 12, 7, 3)
+        assert all(type(v) is int for v in corpus.values)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, "12", "1_234", None])
+    def test_rejects_values_that_are_not_integers(self, value):
+        """No float is truncated and no string parsed: extraction
+        converts its own tokens."""
+        with pytest.raises(TypeError):
+            make_corpus([3, value])
 
     def test_replace_recounts_and_rechecks(self):
         corpus = make_corpus([5, 5, 1])
@@ -237,11 +249,36 @@ _CORPUS_VALUES = st.lists(_VALUE, min_size=1, max_size=30).flatmap(
 )
 
 
+# the edges of every first-digit and length class the views bisect at:
+# d * 10**k - 1 and d * 10**k, and values past int64, 2**64 and near the
+# float limit
+_BOUNDARIES = sorted({
+    0, 9, 10, 99, 100, 10**18, 2**64, 10**300,
+    *(d * 10**k + e for k in (1, 2, 17, 18, 299) for d in range(1, 10) for e in (-1, 0)),
+})
+
+
 @settings(max_examples=200, deadline=None)
 @given(_CORPUS_VALUES)
+@example(_BOUNDARIES)
+@example([0])
 def test_views_from_value_counts_match_per_value_definitions(values):
     """The views and statistics built from the value->count table equal
     their definitions over every occurrence."""
+    assert_views_match_definitions(values)
+
+
+@pytest.mark.parametrize(
+    "value", _BOUNDARIES, ids=lambda v: f"{str(v)[:3]}_{len(str(v))}digits"
+)
+def test_views_at_class_boundaries(value):
+    """Each boundary value alone, and with 1 and 10**300 beside it, falls
+    in the digit and length class its definition names."""
+    assert_views_match_definitions([value])
+    assert_views_match_definitions([1, value, value, 10**300])
+
+
+def assert_views_match_definitions(values):
     corpus = make_corpus(values)
     assert corpus.values == tuple(values)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numlaws import extract, extract_numbers, read_csv_corpus, read_text_corpus
@@ -241,20 +241,76 @@ class TestWindows:
     def test_token_strings_are_not_all_held_at_once(self):
         """Extraction's traced peak exceeds what the corpus keeps by well
         under the size of all token strings, which reading the whole text
-        at once would hold.  150,000 distinct tokens keep the corpus's
-        count table smaller than those strings, so its own growth cannot
-        hide them."""
-        values = random.Random(0).sample(range(10**11, 10**12), 150_000)
-        text = "\n".join(map(str, values)) + "\n"
-        token_bytes = sum(sys.getsizeof(str(v)) for v in values)
-        tracemalloc.start()
-        try:
-            corpus = extract_numbers(text)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert corpus.values == tuple(values)
-        assert peak - kept < 0.45 * token_bytes
+        at once would hold, as strings or as arrays.  150,000 distinct
+        tokens keep the corpus's count table smaller than those strings,
+        so its own growth cannot hide them."""
+        assert_tokens_not_all_held(str)
+
+    def test_grouped_token_strings_are_not_all_held_at_once(self):
+        """The same bound when every window goes through the pattern,
+        whose ``findall`` makes a string per token: plain windows make
+        none."""
+        assert_tokens_not_all_held("{:,}".format)
+
+
+def assert_tokens_not_all_held(write):
+    values = random.Random(0).sample(range(10**11, 10**12), 150_000)
+    text = "\n".join(map(write, values)) + "\n"
+    token_bytes = sum(sys.getsizeof(write(v)) for v in values)
+    tracemalloc.start()
+    try:
+        corpus = extract_numbers(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert corpus.values == tuple(values)
+    assert peak - kept < 0.45 * token_bytes
+
+
+_DIGITS = st.sampled_from("0123456789")
+# short runs, runs about the kernel's 18-digit limit, and leading zeros
+_RUNS = st.one_of(
+    st.text(_DIGITS, min_size=1, max_size=4),
+    st.text(_DIGITS, min_size=17, max_size=20),
+    st.builds(
+        str.__add__, st.text(st.just("0"), min_size=1, max_size=19), st.text(_DIGITS, max_size=3)
+    ),
+)
+_SPACES = st.text(st.sampled_from(" \t\n\r"), min_size=1, max_size=3)
+_PLAIN_TEXTS = st.builds(
+    str.__add__,
+    st.text(st.sampled_from(" \t\n\r"), max_size=2),
+    st.lists(st.builds(str.__add__, _RUNS, _SPACES), max_size=12).map("".join),
+)
+
+
+class TestPlainKernel:
+    """A window of ASCII digits and whitespace reads as ``str.split`` and
+    ``int()`` would read it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PLAIN_TEXTS)
+    @example(str(10**18 - 1))  # the longest run the kernel reads
+    @example(f"1 {10**18}\n")  # one digit more: the pattern reads this window
+    @example("7" + " " * 30 + "8\n")  # windows of whitespace alone
+    @example(" \r\n\t")
+    @example("12\f34\v56\u00a078 9")  # other whitespace: the pattern reads these
+    def test_extract_numbers_splits_plain_text(self, text):
+        expected = tuple(map(int, text.split()))
+        kernel = extract._plain_values(text)
+        if set(text) <= set("0123456789 \t\n\r") and all(
+            len(run) <= 18 for run in text.split()
+        ):
+            assert kernel == list(expected)
+        else:
+            assert kernel is None
+        for window in (extract._WINDOW, *range(1, 9)):
+            with mock.patch.object(extract, "_WINDOW", window):
+                if not expected:
+                    with pytest.raises(EmptyCorpusError):
+                        extract_numbers(text)
+                else:
+                    assert extract_numbers(text).values == expected
 
 
 # The extractor as it stood before one pattern did all the filtering, kept

@@ -19,7 +19,6 @@ from pathlib import Path
 from .corpus import corpus_stats
 from .errors import IngestError, NumlawsError
 from .extract import read_csv_corpus, read_text_corpus
-from .fitting import fit_gamma, fit_zipf
 from .pipeline import (
     DIMENSIONS,
     AnalysisConfig,
@@ -211,12 +210,12 @@ def cmd_synth(args) -> int:
 def cmd_cutoff(args) -> int:
     corpus = _load_corpus(args.input, args.csv_column)
     dimension = _dimension_name(args.dimension)
-    view = DIMENSIONS[dimension].view.from_corpus(corpus)
-    fit = fit_zipf(view) if args.system == "zipf" else fit_gamma(view)
-    estimate = share_scale_cutoff(view, fit)
+    spec = DIMENSIONS[dimension]
+    view = spec.view.from_corpus(corpus)
+    estimate = share_scale_cutoff(view, spec.fit_law(view))
     payload = estimate.to_dict()
     payload["dimension"] = dimension
-    payload["system"] = args.system
+    payload["system"] = spec.law
     print(json.dumps(payload, sort_keys=True, indent=2))
     return EXIT_OK
 
@@ -262,7 +261,6 @@ def build_parser() -> _Parser:
     p_cut.add_argument(
         "--dimension", required=True, choices=("digit", *DIMENSIONS)
     )
-    p_cut.add_argument("--system", required=True, choices=("gamma", "zipf"))
     p_cut.set_defaults(func=cmd_cutoff)
 
     return parser

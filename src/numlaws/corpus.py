@@ -264,10 +264,10 @@ class RankFrequencyTable(_CountsView):
         return len(self.values)
 
 
-def merge_corpora(corpora, label="pooled") -> NumberCorpus:
+def merge_corpora(corpora) -> NumberCorpus:
     """Concatenate several corpora into one multiset (no deduplication)."""
     corpora = list(corpora)
     if not corpora:
         raise EmptyCorpusError("no corpora to merge")
     values = chain.from_iterable(c.values for c in corpora)
-    return NumberCorpus(label=label, values=values)
+    return NumberCorpus(label="pooled", values=values)

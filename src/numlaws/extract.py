@@ -203,6 +203,8 @@ def read_csv_corpus(path, column, year: int | None = None) -> NumberCorpus:
         index = header.index(column)
     else:
         index = int(column)
+        if index < 0:
+            raise IngestError(f"{path}: column index {column!r} is negative")
         if not is_header:
             rows = itertools.chain([header], rows)  # a data row, not a header
     cells = (row[index] for row in rows if index < len(row))

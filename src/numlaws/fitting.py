@@ -3,14 +3,17 @@
 Each law is fitted by a function from a view (any object with
 ``support`` and ``frequencies``, such as a digit or length histogram or a
 rank-frequency table) to a ``FitResult``.  No public fit calls another,
-so a wrapper around one of them sees exactly one call per fit.
+so a wrapper around one of them sees exactly one call per fit.  Each
+returns through ``_build_result``, which refuses the fit with
+``FitFailureError`` when the law's model rejects the fitted parameters
+or the curve's squared error is not finite.
 
 - ``fit_benford`` has no free parameters; fitting only scores the data.
 - ``fit_zipf`` runs ordinary least squares on (log rank, log frequency);
   the slope is the negated exponent, the intercept the log scale.
   Zero-frequency support points are excluded from the regression but
-  retained for scoring.  ``fit_zipf_on_lengths`` is the same fit with
-  decimal length standing in for rank.
+  retained for scoring.  ``fit_zipf_on_lengths`` is another name for
+  the same function, fitted with decimal length standing in for rank.
 - ``fit_gamma`` minimizes squared error in linear frequency space by
   variable projection: the amplitude is profiled out exactly by a linear
   solve, and one Levenberg-Marquardt run refines (log rate, shape) from
@@ -43,12 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import levenberg_marquardt
-from .corpus import (
-    DigitHistogram,
-    LengthHistogram,
-    RankFrequencyTable,
-    merge_corpora,
-)
+from .corpus import merge_corpora
 from .errors import FitFailureError, UnderdeterminedFitError
 from .laws import BenfordModel, GammaModel, ZipfModel
 from .metrics import FitVerdict, MetricScores, classify_fit, score_fit
@@ -105,9 +103,20 @@ class FitResult:
         }
 
 
-def _build_result(model, support, observed, curve, iterations) -> FitResult:
+def _build_result(law, support, observed, iterations, **params) -> FitResult:
+    """The fit of ``law(**params)`` to the observed frequencies, or its refusal."""
+    name, best = law.__name__.removesuffix("Model"), tuple(params.values())
+    try:
+        model = law(**params)
+    except ValueError as exc:
+        raise FitFailureError(f"{name} fit produced invalid parameters: {exc}", best) from None
+    # an overflowing curve is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = model.weights(support)
+        residual = float(np.sum((observed - curve) ** 2))
+    if not math.isfinite(residual):
+        raise FitFailureError(f"{name} fit produced a non-finite curve or squared error", best)
     scores = score_fit(observed, curve)
-    residual = float(np.sum((observed - curve) ** 2))
     return FitResult(
         model=model,
         support=tuple(support.tolist()),
@@ -332,25 +341,21 @@ def _fit_gamma(view, rate_zero) -> FitResult:
             best_params=tuple(float(t) for t in theta),
         )
     _, scaled_amplitude, shift = _gamma_profile(theta, support, observed, log_support)
-    shape = float(theta[-1])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         amplitude = float(scaled_amplitude * np.exp(-shift))
-        if not (math.isfinite(amplitude) and amplitude > 0):
-            raise FitFailureError(
-                "Gamma fit produced a non-finite or non-positive amplitude",
-                best_params=(scaled_amplitude, rate, shape),
-            )
-        model = GammaModel(amplitude=amplitude, rate=rate, shape=shape)
-        curve = model.weights(support)
-    if not np.all(np.isfinite(curve)):
-        raise FitFailureError(
-            "Gamma fit produced a non-finite curve",
-            best_params=(model.amplitude, model.rate, model.shape),
-        )
-    return _build_result(model, support, observed, curve, evaluations)
+    return _build_result(
+        GammaModel, support, observed, evaluations,
+        amplitude=amplitude, rate=rate, shape=float(theta[-1]),
+    )
 
 
-def _fit_zipf(view) -> FitResult:
+def fit_benford(hist) -> FitResult:
+    """Score observed first-digit frequencies against the fixed Benford pmf."""
+    support, observed = support_frequencies(hist)
+    return _build_result(BenfordModel, support, observed, 0)
+
+
+def fit_zipf(view) -> FitResult:
     """Power-law fit by OLS in log-log space, scored in linear space."""
     support, observed = support_frequencies(view)
     if np.any(support < 1):
@@ -366,24 +371,14 @@ def _fit_zipf(view) -> FitResult:
         raise UnderdeterminedFitError("all ranks identical; slope undefined")
     slope = float(centered @ (log_f - log_f.mean())) / denom
     intercept = float(log_f.mean() - slope * log_r.mean())
-    model = ZipfModel(exponent=-slope, scale=math.exp(intercept))
-    return _build_result(model, support, observed, model.weights(support), 0)
+    try:
+        scale = math.exp(intercept)
+    except OverflowError:
+        scale = math.inf
+    return _build_result(ZipfModel, support, observed, 0, exponent=-slope, scale=scale)
 
 
-def fit_benford(hist: DigitHistogram) -> FitResult:
-    """Score observed first-digit frequencies against the fixed Benford pmf."""
-    support, observed = support_frequencies(hist)
-    model = BenfordModel()
-    return _build_result(model, support, observed, model.weights(support), 0)
-
-
-def fit_zipf(table) -> FitResult:
-    return _fit_zipf(table)
-
-
-def fit_zipf_on_lengths(hist: LengthHistogram) -> FitResult:
-    """Zipf fit with decimal length standing in for rank."""
-    return _fit_zipf(hist)
+fit_zipf_on_lengths = fit_zipf
 
 
 def fit_gamma(hist) -> FitResult:
@@ -395,20 +390,10 @@ def fit_gamma_rate_zero(hist) -> FitResult:
     return _fit_gamma(hist, rate_zero=True)
 
 
-_POOLED_DIMENSIONS = {"first_digit", "frequency", "length"}
-
-
-def pooled_fit(corpora, dimension: str) -> FitResult:
-    """Fit the dimension's law to the union of several corpora.
+def pooled_fit(corpora, view, fit) -> FitResult:
+    """``fit`` on the ``view`` class of the union of several corpora.
 
     Duplicating a corpus leaves relative frequencies unchanged, so the
     pooled fit of k identical corpora equals the single-corpus fit.
     """
-    if dimension not in _POOLED_DIMENSIONS:
-        raise ValueError(f"unknown dimension {dimension!r}")
-    merged = merge_corpora(corpora)
-    if dimension == "first_digit":
-        return fit_gamma(DigitHistogram.from_corpus(merged))
-    if dimension == "frequency":
-        return fit_zipf(RankFrequencyTable.from_corpus(merged))
-    return fit_gamma(LengthHistogram.from_corpus(merged))
+    return fit(view.from_corpus(merge_corpora(corpora)))

@@ -2,17 +2,20 @@
 
 Each corpus is analyzed along three dimensions (first digit, value
 frequency, decimal length); every dimension carries its candidate fits,
-optional cutoff estimate and data-quality notes.  A report over several
-corpora adds pooled fits, year-over-year conformity trends and anomaly
-flags.  Reports are pure functions of corpus + configuration: identical
-inputs serialize to byte-identical JSON.
+optional cutoff estimate and data-quality notes, among them each fit
+that ``fitting`` refused.  A report over several corpora adds pooled
+fits, year-over-year trends of each finite R^2 and anomaly flags.
+Reports are pure functions of corpus + configuration: identical inputs
+serialize to byte-identical JSON.
 
 ``DIMENSIONS`` is the one registry of per-dimension policy: the view
 built from the corpus, the candidate fits in preference order, the law
-the cutoff solve runs on, the primary model whose failure is an
-anomaly, and the observed share a boundary is compared against.
-``analyze_dimension`` runs any dimension from its record; the CLI and
-``AnalysisConfig`` read their dimension names from it.
+fitted to pooled corpora and solved for the cutoff, the primary model
+whose failure is an anomaly, and the observed share a boundary is
+compared against.  ``analyze_dimension``, the pooled fits and ``numlaws
+cutoff`` run a dimension from its record (the length dimension's Zipf
+candidate is ``fit_zipf`` under its alias ``fit_zipf_on_lengths``); the
+CLI and ``AnalysisConfig`` read their dimension names from it.
 
 The ``number-law-report/1`` format lives here too: ``_encode`` writes
 each record as its fields, or as its ``to_dict()`` when its class
@@ -70,8 +73,8 @@ class Dimension:
     # the fitter is looked up by name at call time so that a replaced
     # module function is the one called
     fits: tuple[tuple[str, str], ...]
-    # law the cutoff solve runs on, with that fit's parameters
-    cutoff_law: str
+    # the candidate fitted to pooled corpora and solved for the cutoff
+    law: str
     # conformity model whose failure flags the dimension as anomalous
     primary_model: str
     # observed share compared with the estimated boundary, from frequencies
@@ -79,20 +82,24 @@ class Dimension:
     # fit whose exponent ~ 0 is noted as a degenerate flat line
     flat_fit: str | None = None
 
+    def fit_law(self, view) -> FitResult:
+        """The ``law`` candidate's fit to ``view``."""
+        return globals()[dict(self.fits)[self.law]](view)
+
 
 DIMENSIONS = {
     # the digit axis doubles as a rank axis, so Gamma is always tried too
     "first_digit": Dimension(
         view=DigitHistogram,
         fits=(("benford", "fit_benford"), ("gamma", "fit_gamma")),
-        cutoff_law="gamma",
+        law="gamma",
         primary_model="benford",
         boundary_share=max,
     ),
     "frequency": Dimension(
         view=RankFrequencyTable,
         fits=(("zipf", "fit_zipf"),),
-        cutoff_law="zipf",
+        law="zipf",
         primary_model="zipf",
         boundary_share=max,
         flat_fit="zipf",
@@ -106,7 +113,7 @@ DIMENSIONS = {
             ("gamma_rate_zero", "fit_gamma_rate_zero"),
             ("zipf", "fit_zipf_on_lengths"),
         ),
-        cutoff_law="gamma",
+        law="gamma",
         primary_model="gamma",
         boundary_share=lambda frequencies: frequencies[-1],
     ),
@@ -228,9 +235,9 @@ def analyze_dimension(
     if spec.flat_fit in fits and abs(fits[spec.flat_fit].model.exponent) < 1e-12:
         notes.append("degenerate: flat rank-frequency line (exponent ~ 0)")
     cutoff = None
-    if include_cutoff and spec.cutoff_law in fits:
+    if include_cutoff and spec.law in fits:
         try:
-            cutoff = share_scale_cutoff(view, fits[spec.cutoff_law])
+            cutoff = share_scale_cutoff(view, fits[spec.law])
         except NumlawsError as exc:
             notes.append(f"cutoff failed: {exc}")
     candidates = [name for name, _ in spec.fits if name in fits]
@@ -342,7 +349,8 @@ def _collect_trends(analyses, config: AnalysisConfig):
             series = {
                 year: fits[model_name].scores.r_squared
                 for year, fits in fits_by_year
-                if model_name in fits
+                # a year whose R^2 is not finite gives no slope
+                if model_name in fits and math.isfinite(fits[model_name].scores.r_squared)
             }
             if len(series) < 3:
                 continue
@@ -402,8 +410,9 @@ def build_report(corpora, config: AnalysisConfig | None = None, inputs=None) -> 
     pooled = {}
     if len(corpora) > 1:
         for dimension in config.analyses:
+            spec = DIMENSIONS[dimension]
             try:
-                pooled[dimension] = pooled_fit(corpora, dimension)
+                pooled[dimension] = pooled_fit(corpora, spec.view, spec.fit_law)
             except NumlawsError:
                 continue
 

@@ -241,6 +241,22 @@ class TestAnalyze:
         assert err == "usage error: two inputs share the corpus label 'x'\n"
         assert not out_dir.exists()
 
+    def test_values_too_long_for_a_zipf_curve_are_noted(self, tmp_path, capsys):
+        """Two 308-digit values and one of 307 digits: the Zipf fit on
+        lengths has no finite scale, so it is noted and the run succeeds."""
+        corpus_file = tmp_path / "long.txt"
+        corpus_file.write_text(
+            "9" * 308 + "\n" + "8" * 308 + "\n" + "7" * 307 + "\n", encoding="utf-8"
+        )
+        code = main(
+            ["analyze", "--input", str(corpus_file), "--cutoff", "--out-dir", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        notes = report["corpora"][0]["sections"]["length"]["notes"]
+        assert any(note.startswith("zipf fit unavailable: ") for note in notes)
+
     def test_unwritable_out_dir_is_output_error(self, tmp_path, capsys):
         corpus_file = tmp_path / "v.txt"
         corpus_file.write_text("1\n22\n333\n", encoding="utf-8")
@@ -385,7 +401,7 @@ class TestCutoffCommand:
         code = main(
             [
                 "cutoff", "--input", str(corpus_file),
-                "--dimension", "frequency", "--system", "zipf",
+                "--dimension", "frequency",
             ]
         )
         out = capsys.readouterr().out
@@ -403,7 +419,7 @@ class TestCutoffCommand:
         code = main(
             [
                 "cutoff", "--input", str(corpus_file),
-                "--dimension", "frequency", "--system", "zipf",
+                "--dimension", "frequency",
             ]
         )
         assert code == EXIT_OK
@@ -421,9 +437,9 @@ class TestCutoffCommand:
 
     @pytest.mark.parametrize("fixture", ["sample_corpus.txt", "statement_fixture.txt"])
     def test_agrees_with_the_report(self, tmp_path, capsys, fixture):
-        """Run with each dimension's cutoff law, the command gives the
-        report's estimate where it has one, and the error the report
-        notes where the cutoff failed."""
+        """On each dimension, the command solves the registry's law and
+        gives the report's estimate where it has one, and the error the
+        report notes where the cutoff failed."""
         path = str(DATA_DIR / fixture)
         code = main(["analyze", "--input", path, "--cutoff", "--out-dir", str(tmp_path)])
         capsys.readouterr()
@@ -432,14 +448,13 @@ class TestCutoffCommand:
         outcomes = set()
         for dimension, spec in DIMENSIONS.items():
             section = sections[dimension]
-            code = main(
-                ["cutoff", "--input", path, "--dimension", dimension, "--system", spec.cutoff_law]
-            )
+            code = main(["cutoff", "--input", path, "--dimension", dimension])
             out, err = capsys.readouterr()
             if section["cutoff"] is not None:
                 outcomes.add("estimate")
                 assert code == EXIT_OK
                 payload = json.loads(out)
+                assert payload["system"] == spec.law
                 for key, value in section["cutoff"].items():
                     assert payload[key] == value, (dimension, key)
             else:
@@ -448,6 +463,15 @@ class TestCutoffCommand:
                 assert code == EXIT_INPUT
                 assert err == f"error: {note.removeprefix('cutoff failed: ')}\n"
         assert outcomes == {"estimate", "error"}
+
+    def test_the_law_is_the_registry_s_not_a_flag(self, tmp_path, capsys):
+        """The cutoff law comes from the dimension; ``--system`` is gone."""
+        path = str(DATA_DIR / "sample_corpus.txt")
+        code = main(
+            ["cutoff", "--input", path, "--dimension", "frequency", "--system", "zipf"]
+        )
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --system zipf" in capsys.readouterr().err
 
 
 # random bytes, and soups of digits, whitespace and separators, most of

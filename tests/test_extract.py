@@ -192,6 +192,16 @@ class TestFileIngestion:
         # a digit string that names no header cell is an index too
         assert read_csv_corpus(path, "1").values == (20, 40)
 
+    def test_csv_negative_index_is_an_ingest_error(self, tmp_path):
+        """A negative index would count from the end of each row."""
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="negative"):
+            read_csv_corpus(path, -1)
+        # a string is a column name unless it is all decimal digits
+        with pytest.raises(IngestError, match="no column named '-1'"):
+            read_csv_corpus(path, "-1")
+
     def test_csv_missing_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")

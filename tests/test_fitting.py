@@ -29,9 +29,10 @@ from numlaws.errors import (
     NumlawsError,
     UnderdeterminedFitError,
 )
-from numlaws import fitting
+from numlaws import build_report, fitting
 from numlaws.fitting import _gamma_jacobian, _gamma_profile, _gamma_start
-from numlaws.laws import GammaModel, ZipfModel
+from numlaws.laws import GammaModel
+from numlaws.pipeline import DIMENSIONS
 
 
 def gamma_curve(amplitude, rate, shape, xs):
@@ -117,6 +118,30 @@ class TestZipfFit:
         fit = fit_zipf(SyntheticHistogram(ranks, freqs))
         assert len(fit.curve) == 5
         assert all(v > 0 for v in fit.curve)
+
+    @pytest.mark.parametrize(
+        "freqs, reason",
+        [
+            # lengths of 10**307, 10**307, 10**308: exp(intercept) overflows
+            ([2 / 3, 1 / 3], "scale must be positive and finite"),
+            # lengths of 10**307, 10**308, 10**308: exp(intercept) underflows
+            ([1 / 3, 2 / 3], "scale must be positive and finite"),
+        ],
+    )
+    def test_scale_out_of_float_range_is_refused(self, freqs, reason):
+        """Two adjacent long lengths fit a rank exponent near 213, whose
+        scale is out of range: the fit is refused, not raised raw."""
+        hist = SyntheticHistogram(np.array([307.0, 308.0]), np.array(freqs))
+        with pytest.raises(FitFailureError, match=f"invalid parameters: {reason}") as excinfo:
+            fit_zipf_on_lengths(hist)
+        assert len(excinfo.value.best_params) == 2
+
+    def test_overflowing_squared_error_is_refused(self):
+        """A zero-frequency rank far up the steep line it left behind has a
+        finite curve point whose square overflows."""
+        hist = SyntheticHistogram(np.array([1.0, 2.0, 3.0]), np.array([1e-300, 1.0, 0.0]))
+        with pytest.raises(FitFailureError, match="non-finite curve"):
+            fit_zipf(hist)
 
 
 class TestGammaFit:
@@ -488,15 +513,15 @@ class TestZipfOnLengths:
 class TestPooledFit:
     def test_single_corpus_equals_direct_fit(self):
         corpus = sample_zipf_values(5000, alpha=0.75, support_size=100, seed=9)
-        pooled = pooled_fit([corpus], "frequency")
+        pooled = pooled_fit([corpus], RankFrequencyTable, fit_zipf)
         direct = fit_zipf(RankFrequencyTable.from_corpus(corpus))
         assert pooled.model == direct.model
         assert pooled.curve == direct.curve
 
     def test_duplicated_corpora_leave_fit_unchanged(self):
         corpus = sample_zipf_values(5000, alpha=0.9, support_size=80, seed=10)
-        once = pooled_fit([corpus], "frequency")
-        thrice = pooled_fit([corpus, corpus, corpus], "frequency")
+        once = pooled_fit([corpus], RankFrequencyTable, fit_zipf)
+        thrice = pooled_fit([corpus, corpus, corpus], RankFrequencyTable, fit_zipf)
         assert thrice.model.exponent == pytest.approx(once.model.exponent, abs=1e-12)
         assert thrice.model.scale == pytest.approx(once.model.scale, abs=1e-12)
 
@@ -515,17 +540,23 @@ class TestPooledFit:
             individual_errors.append(
                 np.mean([abs(f.model.exponent - truth) for f in fits])
             )
-            pooled = pooled_fit(corpora, "frequency")
+            pooled = pooled_fit(corpora, RankFrequencyTable, fit_zipf)
             pooled_errors.append(abs(pooled.model.exponent - truth))
         assert np.mean(pooled_errors) < np.mean(individual_errors)
 
-    def test_dimension_model_mapping(self):
-        corpus = NumberCorpus("m", tuple(range(1, 200)) * 3)
-        assert isinstance(pooled_fit([corpus], "first_digit").model, GammaModel)
-        assert isinstance(pooled_fit([corpus], "frequency").model, ZipfModel)
-        assert isinstance(pooled_fit([corpus], "length").model, GammaModel)
-        with pytest.raises(ValueError):
-            pooled_fit([corpus], "volume")
+    def test_each_pooled_fit_is_of_the_dimension_s_law(self):
+        """A report over two corpora pools each dimension under the law
+        its registry record names, fitted to the merged corpus's view."""
+        corpora = [
+            NumberCorpus("a", tuple(range(1, 200)) * 3),
+            NumberCorpus("b", tuple(range(5, 3000, 7)) * 2),
+        ]
+        pooled = build_report(corpora).pooled
+        assert set(pooled) == set(DIMENSIONS)
+        merged = NumberCorpus("ab", corpora[0].values + corpora[1].values)
+        for dimension, spec in DIMENSIONS.items():
+            assert pooled[dimension].model.name == spec.law
+            assert pooled[dimension] == spec.fit_law(spec.view.from_corpus(merged))
 
 
 class TestFitResultContract:

@@ -30,7 +30,7 @@ from numlaws import (
     trend_over_years,
     write_plot_bundles,
 )
-from numlaws.errors import InsufficientDataError, NumlawsError
+from numlaws.errors import IngestError, InsufficientDataError, NumlawsError
 from numlaws.pipeline import _encode
 
 
@@ -302,6 +302,26 @@ class TestBuildReport:
         for trend in report.trends:
             assert math.isfinite(trend.slope)
 
+    @pytest.mark.parametrize("years", [(2018, 2019, 2020), (2018, 2019, 2020, 2021)])
+    def test_a_year_with_no_finite_r_squared_is_left_out_of_its_trend(self, years):
+        """2019 holds each digit once, so its Benford R^2 is -inf.  The
+        Benford series is drawn from the other years, and skipped when
+        fewer than three are left."""
+        corpora = [
+            NumberCorpus(f"y{year}", range(1, 10) if year == 2019 else range(1, 500), year=year)
+            for year in years
+        ]
+        report = build_report(corpora)
+        benford = report.corpora[1].sections["first_digit"].fits["benford"]
+        assert benford.scores.r_squared == -math.inf
+        trends = {t.metric: t for t in report.trends}
+        assert "frequency.zipf.r_squared" in trends
+        assert all(math.isfinite(t.slope) for t in report.trends)
+        if len(years) == 3:
+            assert "first_digit.benford.r_squared" not in trends
+        else:
+            assert trends["first_digit.benford.r_squared"].years == (2018, 2020, 2021)
+
     def test_section_isolation_on_degenerate_corpus(self):
         """A single repeated value degrades every dimension differently;
         no section failure suppresses the others."""
@@ -433,6 +453,68 @@ def test_report_or_typed_error_within_time_bound(value_counts):
     except NumlawsError:
         pass
     assert time.perf_counter() - started < REPORT_SECONDS
+
+
+def _adjacent_lengths(length):
+    """A run of values with ``length`` or ``length + 1`` digits."""
+    return st.lists(
+        st.integers(min_value=10 ** (length - 1), max_value=10 ** (length + 1) - 1),
+        min_size=1,
+        max_size=6,
+    )
+
+
+# one corpus's values: runs of short values, of values of up to 309
+# digits, of long values at adjacent lengths, and across the float edge
+_CORPUS_VALUES = st.lists(
+    st.one_of(
+        st.lists(st.integers(min_value=0, max_value=10**15), min_size=1, max_size=20),
+        st.lists(st.integers(min_value=0, max_value=10**308), min_size=1, max_size=6),
+        st.integers(min_value=230, max_value=308).flatmap(_adjacent_lengths),
+        st.lists(
+            st.integers(min_value=2**1024 - 2**972, max_value=2**1024), min_size=1, max_size=2
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda runs: [value for run in runs for value in run])
+
+_REPORT_SCHEMA = load_report_schema()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(_CORPUS_VALUES, st.booleans()), min_size=1, max_size=4),
+    st.permutations(range(2016, 2020)),
+)
+@example([([10**307, 10**308, 10**308], False)], [2016, 2017, 2018, 2019])
+@example([([10**307, 10**307, 10**308], False)], [2016, 2017, 2018, 2019])
+# the middle year's Benford R^2 is -inf
+@example(
+    [(list(range(1, 500)), True), (list(range(1, 10)), True), (list(range(1, 500)), True)],
+    [2018, 2019, 2020, 2021],
+)
+def test_any_corpora_give_a_valid_report_or_a_typed_error(drawn, years):
+    """Up to four corpora, each dated or not, give a cutoff report that
+    validates against the schema, or a NumlawsError; no other exception
+    and no RuntimeWarning escapes.  Only a value that rounds past the
+    largest float is refused when its corpus is built."""
+    jsonschema = pytest.importorskip("jsonschema")
+    largest = max(value for values, _ in drawn for value in values)
+    try:
+        corpora = [
+            NumberCorpus(f"c{k}", values, year=year if dated else None)
+            for k, ((values, dated), year) in enumerate(zip(drawn, years))
+        ]
+    except IngestError:
+        assert largest > sys.float_info.max
+        return
+    assert largest < 2**1024
+    try:
+        report = build_report(corpora, AnalysisConfig(cutoff=True))
+    except NumlawsError:
+        return
+    jsonschema.validate(json.loads(report_to_json(report)), _REPORT_SCHEMA)
 
 
 def sanitize(obj):

@@ -62,13 +62,7 @@ from .pipeline import (
     trend_over_years,
     write_plot_bundles,
 )
-from .synth import (
-    SyntheticHistogram,
-    exact_histogram,
-    sample_benford_digits,
-    sample_gamma_lengths,
-    sample_zipf_values,
-)
+from .synth import SyntheticHistogram, exact_histogram, sample
 
 __version__ = "0.1.0"
 
@@ -118,9 +112,7 @@ __all__ = [
     "read_csv_corpus",
     "read_text_corpus",
     "report_to_json",
-    "sample_benford_digits",
-    "sample_gamma_lengths",
-    "sample_zipf_values",
+    "sample",
     "score_fit",
     "trend_over_years",
     "write_plot_bundles",

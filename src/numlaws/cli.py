@@ -19,6 +19,7 @@ from pathlib import Path
 from .corpus import corpus_stats
 from .errors import IngestError, NumlawsError
 from .extract import read_csv_corpus, read_text_corpus
+from .laws import BenfordModel, GammaModel, ZipfModel
 from .pipeline import (
     DIMENSIONS,
     AnalysisConfig,
@@ -27,7 +28,7 @@ from .pipeline import (
     share_scale_cutoff,
     write_plot_bundles,
 )
-from .synth import sample_benford_digits, sample_gamma_lengths, sample_zipf_values
+from .synth import sample
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -183,12 +184,13 @@ def _synth_params(args):
 def cmd_synth(args) -> int:
     params = _synth_params(args)
     if args.model == "benford":
-        values = sample_benford_digits(args.n, args.seed)
+        model, top = BenfordModel(), 9
     elif args.model == "zipf":
-        corpus = sample_zipf_values(args.n, seed=args.seed, **params)
-        values = corpus.values
+        model, top = ZipfModel(params["alpha"], 1.0), params["support_size"]
     else:
-        values = sample_gamma_lengths(args.n, seed=args.seed, **params)
+        model = GammaModel(1.0, params["rate"], params["shape"])
+        top = params["max_length"]
+    values = sample(model, range(1, top + 1), args.n, args.seed)
 
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,8 @@
 
 Models are exposed unnormalized, exactly as they are fitted against raw
 relative frequencies (the amplitude parameters absorb normalization), plus
-an explicit ``discrete_normalize`` step for pmf-level comparisons.
+an explicit ``discrete_normalize`` step that turns a model into a pmf on a
+support: pmf-level comparisons and ``synth.sample`` start from it.
 
 - Benford: P(d) = log10(1 + 1/d) on first digits d in 1..9, parameter-free.
 - Zipf: f(r) = scale / r**exponent on ranks r >= 1.
@@ -98,7 +99,9 @@ class GammaModel:
 
 def discrete_normalize(model, support) -> np.ndarray:
     """Normalize model weights on an explicit discrete support into a pmf."""
-    weights = model.weights(support)
+    # an overflowing weight is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = model.weights(support)
     total = float(weights.sum())
     if not math.isfinite(total) or total <= 0:
         raise DegenerateModelError(

@@ -32,11 +32,11 @@ from numlaws import (
     kl_divergence,
     mape,
     r_squared,
-    sample_gamma_lengths,
-    sample_zipf_values,
+    sample,
     trend_over_years,
 )
 
+from conftest import zipf_corpus
 from test_cutoff import zipf_map
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -110,9 +110,7 @@ def test_criterion_03_zipf_exact_recovery():
 def test_criterion_04_zipf_sampled_recovery():
     with budget(4, "Zipf exponent recovery on 20 sampled corpora", 5.0):
         for seed in range(20):
-            corpus = sample_zipf_values(
-                10**5, alpha=0.75, support_size=200, seed=9000 + seed
-            )
+            corpus = zipf_corpus(10**5, alpha=0.75, support_size=200, seed=9000 + seed)
             fit = fit_zipf(RankFrequencyTable.from_corpus(corpus))
             assert abs(fit.model.exponent - 0.75) <= 0.05
 
@@ -149,9 +147,7 @@ def test_criterion_06_tail_comparison_experiment():
 def test_criterion_07_cutoff_iterations():
     with budget(7, "cutoff convergence on 20+20 seeded corpora", 5.0):
         for seed in range(20):
-            lengths = sample_gamma_lengths(
-                10**4, rate=1.2, shape=1.1, max_length=3, seed=1000 + seed
-            )
+            lengths = sample(GammaModel(1.0, 1.2, 1.1), range(1, 4), 10**4, 1000 + seed)
             fit = fit_gamma(LengthHistogram(tuple(np.bincount(lengths)[1:])))
             estimate = estimate_cutoff_gamma(
                 n=len(lengths),
@@ -163,9 +159,7 @@ def test_criterion_07_cutoff_iterations():
             assert estimate.converged and estimate.iterations <= 50
             assert estimate.upper_cutoff >= estimate.lower_cutoff
         for seed in range(20):
-            corpus = sample_zipf_values(
-                10**5, alpha=0.75, support_size=200, seed=2000 + seed
-            )
+            corpus = zipf_corpus(10**5, alpha=0.75, support_size=200, seed=2000 + seed)
             table = RankFrequencyTable.from_corpus(corpus)
             counts = np.asarray(table.counts, dtype=float)
             alpha = fit_zipf(table).model.exponent

@@ -1,10 +1,13 @@
-"""The package namespace: ``numlaws.__all__`` lists exactly what it exports."""
+"""The package namespace: ``numlaws.__all__`` lists exactly what it exports,
+and the README names only what exists."""
 
 import re
+import shlex
 import types
 from pathlib import Path
 
 import numlaws
+from numlaws.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +32,20 @@ def test_readme_names_are_exported():
     names = set(re.findall(r"\bnl\.(\w+)", "".join(blocks)))
     assert names
     assert sorted(names - set(numlaws.__all__)) == []
+
+
+def test_readme_cli_commands_parse():
+    """Every ``numlaws …`` command in the README's bash blocks parses with
+    the CLI's own parser, optional parts included, so a stale flag fails
+    the suite."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text("utf-8"), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [
+        shlex.split(line.replace("[", "").replace("]", ""))
+        for line in lines
+        if line.startswith("numlaws ")
+    ]
+    assert {argv[1] for argv in commands} == {"stats", "analyze", "synth", "cutoff"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -337,6 +338,73 @@ class TestSynth:
             ]
         )
         assert code == EXIT_USAGE
+
+    def test_mass_beyond_the_floats_is_one_error_line(self, tmp_path):
+        """A Gamma law whose weights overflow exits 2 with the typed error
+        alone: no numpy warning is printed before it."""
+        proc = run_subprocess(
+            "synth", "--model", "gamma", "--rate", "0", "--shape", "1000",
+            "--max-length", "2000", "--n", "5", "--seed", "0",
+            "--output", str(tmp_path / "o.txt"),
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == "error: gamma model has zero or non-finite mass on the support\n"
+        assert not (tmp_path / "o.txt").exists()
+
+    @pytest.mark.parametrize(
+        "args,data_sha256,sidecar_sha256",
+        [
+            (
+                "benford --n 10000 --seed 7",
+                "8e1814e44da2736222488353bd23464acb08482eaa82853aedf92f82ea6c56a6",
+                "235a31225dc56f83dff6b597ad1a3cfe285cee872ef42f0d9d96a216f1c52824",
+            ),
+            (
+                "zipf --alpha 0.75 --support-size 200 --n 10000 --seed 42",
+                "4316cee8ca584a1391098ae69957799b3ffd7fdb54597edae7135a078de25973",
+                "96ea5a99e7e1aa7ba37e8640b8d745384a8f75b497aebfd98c37fd6b48fdb948",
+            ),
+            (
+                "zipf --alpha 0 --support-size 10 --n 1000 --seed 3",
+                "fa8ca4e926319745853f86ec41c785ba6b59dc0f8a71fadb828a29318028d165",
+                "7447aafc822a298345a7ab517ae454455086af60ca6e7110f5903f2e91f4a6e6",
+            ),
+            (
+                "zipf --alpha -0.0 --support-size 7 --n 300 --seed 5",
+                "14535de3e5c49ef5e3df6a3e405eed8eb0efaf1c4811dabb92edf3eb5cb10dba",
+                "ace3a219a239ab4d89563bc1385305468a6a7b1e997676ce52522cb07c7f3ef1",
+            ),
+            (
+                "zipf --alpha 1.5 --support-size 2 --n 500 --seed 18446744073709551617",
+                "b559263e54aedf2560ce449185d779019571105e982e5ea0fdd7476b71758165",
+                "8a8aeac8f6b42237ef8dc19aa3549026c92c81c3e32d8e0f81b58e23c53d8211",
+            ),
+            (
+                "gamma --rate 0.25 --shape 1.3 --max-length 12 --n 10000 --seed 577",
+                "e027d9200756aab0c073384d182da68582fe59d424f405b3448842bc9130cdb1",
+                "22a73e6be7ae7a630bd1422cd2e8797b4f553eaf82866930457654a825b972a3",
+            ),
+            (
+                "gamma --rate 0 --shape 0.951 --max-length 1 --n 10 --seed 0",
+                "9538e71364e030fa5cb12310065b555dc371cca0eccc44a9530624b5be45929a",
+                "302ecc67f88161a71f01cd8dc9241ab740203a53b9de3d3ebffd40e768b5a897",
+            ),
+        ],
+        ids=[
+            "benford", "zipf", "zipf-alpha-0", "zipf-alpha-negative-0",
+            "zipf-seed-above-2-64", "gamma", "gamma-max-length-1",
+        ],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, args, data_sha256, sidecar_sha256):
+        """Each model's stream, at a fixed seed, keeps the bytes it was first
+        written with: a change to the sampler that moves one draw fails."""
+        model, *flags = args.split()
+        out = tmp_path / "s.txt"
+        assert main(["synth", "--model", model, *flags, "--output", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == data_sha256
+        sidecar = tmp_path / "s.txt.meta.json"
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == sidecar_sha256
 
     @pytest.mark.parametrize(
         "args,message",

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import zipf_corpus
 from numlaws import (
+    BenfordModel,
     NumberCorpus,
     corpus_stats,
     decimal_length,
     first_digit,
     merge_corpora,
-    sample_benford_digits,
-    sample_zipf_values,
+    sample,
 )
 from numlaws.corpus import DigitHistogram, LengthHistogram, RankFrequencyTable
 from numlaws.errors import EmptyCorpusError, EmptyHistogramError, IngestError
@@ -158,7 +159,7 @@ class TestDigitHistogram:
 
     def test_benford_sampled_share(self):
         """Digit-1 share of 1e5 Benford draws lands within 0.301 +/- 0.01."""
-        digits = sample_benford_digits(10**5, seed=314)
+        digits = sample(BenfordModel(), range(1, 10), 10**5, 314)
         hist = DigitHistogram.from_corpus(make_corpus(digits))
         assert abs(hist.frequencies[0] - 0.301) < 0.01
 
@@ -188,7 +189,7 @@ class TestRankFrequency:
     def test_sampled_rank_one_share_matches_generator(self):
         """Empirical rank-1 share sits within 3 binomial SE of the pmf."""
         n, support = 10**5, 100
-        corpus = sample_zipf_values(n, alpha=1.0, support_size=support, seed=77)
+        corpus = zipf_corpus(n, alpha=1.0, support_size=support, seed=77)
         table = RankFrequencyTable.from_corpus(corpus)
         weights = 1.0 / np.arange(1, support + 1)
         p1 = weights[0] / weights.sum()

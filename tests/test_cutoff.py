@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from conftest import zipf_corpus
 from numlaws import (
     DigitHistogram,
+    GammaModel,
     LengthHistogram,
     NumberCorpus,
     RankFrequencyTable,
@@ -19,7 +21,7 @@ from numlaws import (
     fit_benford,
     fit_gamma,
     fit_zipf,
-    sample_gamma_lengths,
+    sample,
 )
 from numlaws.cutoff import REFERENCE_BOUNDARY_SHARES, gamma_deviation
 from numlaws.errors import CutoffNumericError
@@ -94,9 +96,7 @@ class TestGammaCutoffIteration:
         estimate stays within a factor of 3 of the largest generated
         value (factor frozen empirically before the build)."""
         for seed in range(20):
-            lengths = sample_gamma_lengths(
-                10**4, rate=1.2, shape=1.1, max_length=3, seed=1000 + seed
-            )
+            lengths = sample(GammaModel(1.0, 1.2, 1.1), range(1, 4), 10**4, 1000 + seed)
             hist = LengthHistogram(tuple(np.bincount(lengths)[1:]))
             fit = fit_gamma(hist)
             lower, upper_init = float(lengths.min()), float(lengths.max())
@@ -194,7 +194,7 @@ class TestZipfCutoffIteration:
         """20 seeded Zipf corpora: finite converged estimates at or above
         the lower cutoff, with fixed-point residual below 1e-9."""
         for seed in range(20):
-            corpus = sample_zipf_values_cached(seed)
+            corpus = zipf_corpus_cached(seed)
             table = RankFrequencyTable.from_corpus(corpus)
             counts = np.asarray(table.counts, dtype=float)
             lower, upper_init = float(counts.min()), float(counts.max())
@@ -317,7 +317,7 @@ class TestShareScaleCutoff:
         """On one rank table a Zipf fit runs the Zipf system and a Gamma
         fit the Gamma system, each on the table's share scale; a Benford
         fit has no cutoff system."""
-        corpus = sample_zipf_values_cached(0)
+        corpus = zipf_corpus_cached(0)
         table = RankFrequencyTable.from_corpus(corpus)
         lower, upper = float(min(table.frequencies)), float(max(table.frequencies))
         zipf, gamma = fit_zipf(table), fit_gamma(table)
@@ -374,11 +374,9 @@ class TestCutoffReport:
 _ZIPF_CACHE = {}
 
 
-def sample_zipf_values_cached(seed):
-    from numlaws import sample_zipf_values
-
+def zipf_corpus_cached(seed):
     if seed not in _ZIPF_CACHE:
-        _ZIPF_CACHE[seed] = sample_zipf_values(
+        _ZIPF_CACHE[seed] = zipf_corpus(
             10**5, alpha=0.75, support_size=200, seed=2000 + seed
         )
     return _ZIPF_CACHE[seed]

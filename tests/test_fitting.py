@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import zipf_corpus
 from numlaws import (
+    BenfordModel,
     DigitHistogram,
     LengthHistogram,
     NumberCorpus,
@@ -21,8 +23,7 @@ from numlaws import (
     fit_zipf,
     fit_zipf_on_lengths,
     pooled_fit,
-    sample_benford_digits,
-    sample_zipf_values,
+    sample,
 )
 from numlaws.errors import (
     FitFailureError,
@@ -56,7 +57,7 @@ class TestBenfordFit:
         assert fit.scores.mape == 0.0
 
     def test_large_sample_scores_high(self):
-        digits = sample_benford_digits(10**6, seed=123)
+        digits = sample(BenfordModel(), range(1, 10), 10**6, 123)
         fit = fit_benford(DigitHistogram(tuple(np.bincount(digits, minlength=10)[1:])))
         assert fit.scores.r_squared > 0.99
 
@@ -83,7 +84,7 @@ class TestZipfFit:
         assert fit.model.scale == pytest.approx(1.0, abs=1e-9)
 
     def test_sampled_recovery(self):
-        corpus = sample_zipf_values(10**5, alpha=0.75, support_size=200, seed=4711)
+        corpus = zipf_corpus(10**5, alpha=0.75, support_size=200, seed=4711)
         fit = fit_zipf(RankFrequencyTable.from_corpus(corpus))
         assert abs(fit.model.exponent - 0.75) < 0.05
 
@@ -512,14 +513,14 @@ class TestZipfOnLengths:
 
 class TestPooledFit:
     def test_single_corpus_equals_direct_fit(self):
-        corpus = sample_zipf_values(5000, alpha=0.75, support_size=100, seed=9)
+        corpus = zipf_corpus(5000, alpha=0.75, support_size=100, seed=9)
         pooled = pooled_fit([corpus], RankFrequencyTable, fit_zipf)
         direct = fit_zipf(RankFrequencyTable.from_corpus(corpus))
         assert pooled.model == direct.model
         assert pooled.curve == direct.curve
 
     def test_duplicated_corpora_leave_fit_unchanged(self):
-        corpus = sample_zipf_values(5000, alpha=0.9, support_size=80, seed=10)
+        corpus = zipf_corpus(5000, alpha=0.9, support_size=80, seed=10)
         once = pooled_fit([corpus], RankFrequencyTable, fit_zipf)
         thrice = pooled_fit([corpus, corpus, corpus], RankFrequencyTable, fit_zipf)
         assert thrice.model.exponent == pytest.approx(once.model.exponent, abs=1e-12)
@@ -531,7 +532,7 @@ class TestPooledFit:
         pooled_errors, individual_errors = [], []
         for trial in range(20):
             corpora = [
-                sample_zipf_values(
+                zipf_corpus(
                     2000, alpha=truth, support_size=100, seed=5000 + trial * 10 + j
                 )
                 for j in range(5)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import zipf_corpus
 from numlaws import (
     AnalysisConfig,
     DigitHistogram,
@@ -26,7 +27,6 @@ from numlaws import (
     discrete_normalize,
     fit_gamma,
     report_to_json,
-    sample_zipf_values,
     trend_over_years,
     write_plot_bundles,
 )
@@ -141,7 +141,7 @@ class TestFrequencySection:
         assert any("degenerate" in note for note in section.notes)
 
     def test_sampled_corpus_recovers_exponent(self):
-        corpus = sample_zipf_values(10**5, alpha=0.75, support_size=200, seed=606)
+        corpus = zipf_corpus(10**5, alpha=0.75, support_size=200, seed=606)
         section = analyze_dimension("frequency", corpus, include_cutoff=True)
         assert abs(section.fits["zipf"].model.exponent - 0.75) < 0.05
         assert section.cutoff is not None
@@ -229,7 +229,7 @@ class TestTrendDetection:
 class TestBuildReport:
     def test_single_corpus_report_validates_against_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
-        corpus = sample_zipf_values(4000, alpha=0.75, support_size=150, seed=12)
+        corpus = zipf_corpus(4000, alpha=0.75, support_size=150, seed=12)
         report = build_report(corpus, AnalysisConfig(cutoff=True))
         payload = json.loads(report_to_json(report))
         jsonschema.validate(payload, load_report_schema())
@@ -241,7 +241,7 @@ class TestBuildReport:
         are skipped while the others are written."""
         jsonschema = pytest.importorskip("jsonschema")
         corpora = [
-            sample_zipf_values(
+            zipf_corpus(
                 3000, alpha=0.75, support_size=size, seed=50 + k,
                 label=f"y{2018 + k}", year=2018 + k,
             )
@@ -272,14 +272,14 @@ class TestBuildReport:
             AnalysisConfig(analyses=("first_digit", "length", "first_digit"))
 
     def test_byte_identical_reports(self):
-        corpus = sample_zipf_values(3000, alpha=0.75, support_size=100, seed=2)
+        corpus = zipf_corpus(3000, alpha=0.75, support_size=100, seed=2)
         config = AnalysisConfig(cutoff=True)
         a = report_to_json(build_report(corpus, config))
         b = report_to_json(build_report(corpus, config))
         assert a == b
 
     def test_analyses_toggle_drops_sections(self):
-        corpus = sample_zipf_values(2000, alpha=0.75, support_size=100, seed=3)
+        corpus = zipf_corpus(2000, alpha=0.75, support_size=100, seed=3)
         config = AnalysisConfig(analyses=("first_digit", "length"))
         report = build_report(corpus, config)
         sections = report.corpora[0].sections
@@ -287,7 +287,7 @@ class TestBuildReport:
 
     def test_year_labeled_corpora_produce_pooled_fits_and_trends(self):
         corpora = [
-            sample_zipf_values(
+            zipf_corpus(
                 3000, alpha=0.75, support_size=100, seed=40 + k,
                 label=f"y{2018 + k}", year=2018 + k,
             )
@@ -361,7 +361,7 @@ class TestBuildReport:
             json.loads(report_to_json(report))
 
     def test_pooling_identical_corpora_matches_single(self):
-        corpus = sample_zipf_values(2000, alpha=0.8, support_size=80, seed=14)
+        corpus = zipf_corpus(2000, alpha=0.8, support_size=80, seed=14)
         single = build_report(corpus)
         multi = build_report([corpus, corpus])
         zipf_single = single.corpora[0].sections["frequency"].fits["zipf"]
@@ -371,7 +371,7 @@ class TestBuildReport:
         )
 
     def test_sections_rederive_from_corpus(self):
-        corpus = sample_zipf_values(2000, alpha=0.75, support_size=60, seed=15)
+        corpus = zipf_corpus(2000, alpha=0.75, support_size=60, seed=15)
         report = build_report(corpus)
         sections = report.corpora[0].sections
         assert sections["first_digit"].counts == DigitHistogram.from_corpus(corpus).counts
@@ -381,7 +381,7 @@ class TestBuildReport:
         assert sections["frequency"].counts == table.counts
 
     def test_every_fit_in_a_section_shares_the_observed_snapshot(self):
-        corpus = sample_zipf_values(2000, alpha=0.75, support_size=150, seed=18)
+        corpus = zipf_corpus(2000, alpha=0.75, support_size=150, seed=18)
         report = build_report(corpus)
         for section in report.corpora[0].sections.values():
             for fit in section.fits.values():
@@ -410,7 +410,7 @@ class TestBuildReport:
         assert "poor_fit" in kinds
 
     def test_boundary_summary_present_with_cutoff(self):
-        corpus = sample_zipf_values(3000, alpha=0.75, support_size=100, seed=16)
+        corpus = zipf_corpus(3000, alpha=0.75, support_size=100, seed=16)
         report = build_report(corpus, AnalysisConfig(cutoff=True))
         assert report.corpora[0].boundaries is not None
         dims = {e.dimension for e in report.corpora[0].boundaries.entries}
@@ -418,7 +418,7 @@ class TestBuildReport:
         assert dims
 
     def test_plot_bundle_naming(self, tmp_path):
-        corpus = sample_zipf_values(1500, alpha=0.75, support_size=150, seed=17, label="demo")
+        corpus = zipf_corpus(1500, alpha=0.75, support_size=150, seed=17, label="demo")
         report = build_report(corpus)
         written = write_plot_bundles(report, tmp_path)
         names = {p.name for p in written}

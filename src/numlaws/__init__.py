@@ -13,8 +13,6 @@ from .corpus import (
     NumberCorpus,
     RankFrequencyTable,
     corpus_stats,
-    decimal_length,
-    first_digit,
     merge_corpora,
 )
 from .cutoff import (
@@ -91,13 +89,11 @@ __all__ = [
     "classify_fit",
     "corpus_stats",
     "cutoff_report",
-    "decimal_length",
     "discrete_normalize",
     "estimate_cutoff_gamma",
     "estimate_cutoff_zipf",
     "exact_histogram",
     "extract_numbers",
-    "first_digit",
     "fit_benford",
     "fit_gamma",
     "fit_gamma_rate_zero",

@@ -16,10 +16,10 @@ distinct value occurs, so they are built from one value->count table,
 range checks read that table's distinct keys too.  The first view or
 statistic asked for sorts the distinct values once, with the running
 count of the values below each, and every other one reads that sorted
-table: the median bisects the running counts, the length and digit
-histograms take each run of values of one length, or of one first digit
-and length, with one bisection, and the rank table re-sorts the sorted
-values by count.  ``values`` keeps the document order.
+table: the median bisects the running counts, the digit and length
+histograms sum one (first digit, length) -> count table over lengths and
+over digits, and the rank table re-sorts the sorted values by count.
+``values`` keeps the document order.
 """
 
 from __future__ import annotations
@@ -85,22 +85,22 @@ class NumberCorpus:
         distinct = sorted(counts)
         return distinct, array("q", chain((0,), accumulate(map(counts.__getitem__, distinct))))
 
-    def _count_groups(self, start: int, group) -> Counter:
-        """Occurrences per group key of the values from ``start`` up.
-
-        ``group(v)`` gives v's key and the least value above v with another
-        key, so each group is one run of the sorted distinct values and
-        costs one call and one bisection, however many values it holds.
-        """
+    @cached_property
+    def _digits_by_length(self) -> Counter:
+        """Occurrences per (first digit, decimal length) pair; zero is (0, 1).
+        The values of first digit d and length k are the run [d * 10**(k - 1),
+        (d + 1) * 10**(k - 1)) of the sorted distinct values, so each pair
+        costs one ``str()`` and one bisection, however many values it holds."""
         distinct, running = self._ascending
-        counts = Counter()
-        i = bisect_left(distinct, start)
+        table = Counter()
+        i = 0
         while i < len(distinct):
-            key, bound = group(distinct[i])
-            end = bisect_left(distinct, bound, i)
-            counts[key] += running[end] - running[i]
+            text = str(distinct[i])
+            d, k = int(text[0]), len(text)
+            end = bisect_left(distinct, (d + 1) * 10 ** (k - 1), i)
+            table[d, k] = running[end] - running[i]
             i = end
-        return counts
+        return table
 
 
 @dataclass(frozen=True)
@@ -135,40 +135,16 @@ def corpus_stats(corpus: NumberCorpus) -> CorpusStats:
     )
 
 
-def first_digit(n: int) -> int | None:
-    """Leading decimal digit of ``n``; ``None`` for zero.
-
-    Zero has no significant first digit and is excluded from digit
-    analysis.  Invariant under appending zeros: first_digit(n * 10**k)
-    equals first_digit(n).
-    """
-    n = int(n)
-    if n < 0:
-        raise ValueError("first_digit expects a non-negative integer")
-    if n == 0:
-        return None
-    return int(str(n)[0])
-
-
-def decimal_length(n: int) -> int:
-    """Number of decimal digits in ``n``; zero prints as "0", length 1."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("decimal_length expects a non-negative integer")
-    return len(str(n))
-
-
-def _digit_group(n: int) -> tuple[int, int]:
-    """``n``'s first digit d, and the end of its group: the values of
-    first digit d and length k are [d * 10**(k - 1), (d + 1) * 10**(k - 1))."""
-    d = first_digit(n)
-    return d, (d + 1) * 10 ** (decimal_length(n) - 1)
-
-
-def _length_group(n: int) -> tuple[int, int]:
-    """``n``'s decimal length k, and the end of its group, 10**k."""
-    k = decimal_length(n)
-    return k, 10**k
+def _checked_counts(view: str, counts) -> tuple[int, ...]:
+    """``counts`` as a tuple of ints, each checked with ``operator.index``,
+    so a float count is a TypeError; they must be non-empty, non-negative
+    and not all zero."""
+    counts = tuple(map(operator.index, counts))
+    if not counts or min(counts) < 0:
+        raise ValueError(f"{view} needs non-negative counts")
+    if sum(counts) == 0:
+        raise EmptyHistogramError(f"{view} has no observations")
+    return counts
 
 
 class _CountsView:
@@ -198,21 +174,21 @@ class DigitHistogram(_CountsView):
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != 9 or any(c < 0 for c in counts):
-            raise ValueError("DigitHistogram needs 9 non-negative counts")
-        if sum(counts) == 0:
-            raise EmptyHistogramError("digit histogram has no observations")
+        counts = _checked_counts("digit histogram", self.counts)
+        if len(counts) != 9:
+            raise ValueError("digit histogram needs 9 counts")
         object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "DigitHistogram":
-        digits = corpus._count_groups(1, _digit_group)
-        if not digits:
+        counts = [0] * 10
+        for (d, _), c in corpus._digits_by_length.items():
+            counts[d] += c
+        if not any(counts[1:]):
             raise EmptyHistogramError(
                 f"corpus {corpus.label!r} has no nonzero values for digit analysis"
             )
-        return cls(tuple(digits.get(d, 0) for d in range(1, 10)))
+        return cls(tuple(counts[1:]))
 
 
 @dataclass(frozen=True)
@@ -222,19 +198,18 @@ class LengthHistogram(_CountsView):
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if not counts or any(c < 0 for c in counts):
-            raise ValueError("LengthHistogram needs non-negative counts")
-        if sum(counts) == 0:
-            raise EmptyHistogramError("length histogram has no observations")
+        counts = _checked_counts("length histogram", self.counts)
         if counts[-1] == 0:
             counts = counts[: max(i for i, c in enumerate(counts) if c > 0) + 1]
         object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "LengthHistogram":
-        lengths = corpus._count_groups(0, _length_group)
-        return cls(tuple(lengths.get(k, 0) for k in range(1, max(lengths) + 1)))
+        table = corpus._digits_by_length
+        counts = [0] * max(k for _, k in table)
+        for (_, k), c in table.items():
+            counts[k - 1] += c
+        return cls(tuple(counts))
 
 
 @dataclass(frozen=True)
@@ -245,12 +220,12 @@ class RankFrequencyTable(_CountsView):
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != len(self.counts) or not self.values:
-            raise ValueError("values and counts must be equal-length and non-empty")
-        counts = tuple(map(int, self.counts))
+        counts = _checked_counts("rank-frequency table", self.counts)
+        if len(self.values) != len(counts):
+            raise ValueError("rank-frequency table needs as many values as counts")
         if min(counts) < 1:
-            raise ValueError("rank-frequency counts must be positive")
-        object.__setattr__(self, "values", tuple(map(int, self.values)))
+            raise ValueError("rank-frequency table needs positive counts")
+        object.__setattr__(self, "values", tuple(map(operator.index, self.values)))
         object.__setattr__(self, "counts", counts)
 
     @classmethod

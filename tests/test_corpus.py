@@ -14,8 +14,6 @@ from numlaws import (
     BenfordModel,
     NumberCorpus,
     corpus_stats,
-    decimal_length,
-    first_digit,
     merge_corpora,
     sample,
 )
@@ -116,35 +114,46 @@ class TestCorpusStats:
         assert stats.min == 0
 
 
+def only_digit(value) -> int:
+    """The first digit of ``value``, as the digit histogram counts it."""
+    return DigitHistogram.from_corpus(make_corpus([value])).counts.index(1) + 1
+
+
+def only_length(value) -> int:
+    """The decimal length of ``value``, as the length histogram counts it."""
+    return len(LengthHistogram.from_corpus(make_corpus([value])).counts)
+
+
 class TestFirstDigit:
     def test_leading_digit(self):
-        assert first_digit(327524894000) == 3
+        assert only_digit(327524894000) == 3
 
     def test_zero_has_no_first_digit(self):
-        assert first_digit(0) is None
+        hist = DigitHistogram.from_corpus(make_corpus([0, 0, 5]))
+        assert hist.counts == (0, 0, 0, 0, 1, 0, 0, 0, 0)
 
     def test_seventeen_digit_value(self):
-        assert first_digit(91440300192181490) == 9
+        assert only_digit(91440300192181490) == 9
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            first_digit(-3)
+            make_corpus([-3])
 
     def test_scale_invariance(self):
-        """first_digit(n) equals first_digit(n * 10**k) for all k >= 0."""
+        """A value and the value times 10**k have the same first digit."""
         rng = np.random.default_rng(5)
         for n in rng.integers(1, 10**9, size=200):
             n = int(n)
             for k in (0, 1, 3, 8):
-                assert first_digit(n) == first_digit(n * 10**k)
+                assert only_digit(n) == only_digit(n * 10**k)
 
 
 class TestDecimalLength:
     def test_zero_prints_as_one_digit(self):
-        assert decimal_length(0) == 1
+        assert LengthHistogram.from_corpus(make_corpus([0])).counts == (1,)
 
     def test_lengths(self):
-        assert [decimal_length(v) for v in (7, 42, 100, 10**16)] == [1, 2, 3, 17]
+        assert [only_length(v) for v in (7, 42, 100, 10**16)] == [1, 2, 3, 17]
 
 
 class TestDigitHistogram:
@@ -227,6 +236,30 @@ class TestLengthHistogram:
         assert hist.counts == (1, 0, 0, 0, 0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DigitHistogram((1.7,) * 9),
+        lambda: LengthHistogram((0.4, 0.3)),
+        lambda: RankFrequencyTable((1.9, 2.2), (3.5, 1.2)),
+        lambda: RankFrequencyTable((1.9, 2.2), (3, 1)),
+    ],
+    ids=["digit_counts", "length_counts", "rank_counts", "rank_values"],
+)
+def test_views_take_integers_only(build):
+    """A float count or ranked value is a TypeError, as a float value is
+    for NumberCorpus, not truncated."""
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_views_take_numpy_integer_counts():
+    counts = np.bincount([1, 2, 2, 9], minlength=10)[1:]
+    hist = DigitHistogram(tuple(counts))
+    assert hist.counts == (1, 2, 0, 0, 0, 0, 0, 0, 1)
+    assert all(type(c) is int for c in hist.counts)
+
+
 class TestMergeCorpora:
     def test_concatenates_in_order(self):
         a = make_corpus([1, 2], label="a")
@@ -283,15 +316,15 @@ def assert_views_match_definitions(values):
     corpus = make_corpus(values)
     assert corpus.values == tuple(values)
 
-    digits = Counter(first_digit(v) for v in values if v != 0)
+    digits = Counter(str(v)[0] for v in values if v != 0)
     if digits:
-        expected = tuple(digits.get(d, 0) for d in range(1, 10))
+        expected = tuple(digits.get(d, 0) for d in "123456789")
         assert DigitHistogram.from_corpus(corpus).counts == expected
     else:
         with pytest.raises(EmptyHistogramError):
             DigitHistogram.from_corpus(corpus)
 
-    lengths = Counter(decimal_length(v) for v in values)
+    lengths = Counter(len(str(v)) for v in values)
     expected = tuple(lengths.get(k, 0) for k in range(1, max(lengths) + 1))
     assert LengthHistogram.from_corpus(corpus).counts == expected
 

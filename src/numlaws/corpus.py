@@ -10,16 +10,17 @@ views feed the conformity analyses:
 - rank-frequency table of distinct values, ranked by descending count,
 - decimal-length histogram (zero prints as "0" and counts as length 1).
 
-All three views and the summary statistics depend only on how often each
-distinct value occurs, so they are built from one value->count table,
-``NumberCorpus.value_counts``, counted when the corpus is built; the
-range checks read that table's distinct keys too.  The first view or
-statistic asked for sorts the distinct values once, with the running
-count of the values below each, and every other one reads that sorted
-table: the median bisects the running counts, the digit and length
-histograms sum one (first digit, length) -> count table over lengths and
-over digits, and the rank table re-sorts the sorted values by count.
-``values`` keeps the document order.
+A corpus keeps its integers as one read-only array in document order:
+int64, or an object array of Python ints when a value does not fit in
+int64.  All three views and the summary statistics depend only on how
+often each distinct value occurs, so they read one sorted table,
+``NumberCorpus._ascending``, counted by ``np.unique`` when the corpus is
+built: the distinct values in ascending order, with the running count of
+the values below each.  The range checks read its two ends, the median
+bisects the running counts, the digit and length histograms sum one
+(first digit, length) -> count table over lengths and over digits, and
+the rank table re-sorts the sorted values by count.  No Python int is
+made per value; ``values`` builds the tuple of ints only when it is read.
 """
 
 from __future__ import annotations
@@ -28,13 +29,21 @@ import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import EmptyCorpusError, EmptyHistogramError, IngestError
+
+
+def _int_array(ints: list[int]) -> np.ndarray:
+    """The Python ints ``ints`` as an int64 array or, when one of them does
+    not fit in int64, as a 1-d object array of the same ints."""
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -42,26 +51,24 @@ class NumberCorpus:
     """Ordered multiset of non-negative integers with source metadata.
 
     ``values`` may be any iterable of integers: ints, bools or numpy
-    integers, each checked with ``operator.index`` into the tuple of ints
-    the corpus keeps.  Anything else, such as a float or a string, is a
-    TypeError; extraction converts its tokens itself.
+    integers, each checked with ``operator.index``.  Anything else, such as
+    a float or a string, is a TypeError; extraction converts its tokens
+    itself.  A 1-d int64 array is taken whole, and copied only when it is
+    writeable.  Reading ``values`` gives a tuple of ints.
     """
 
     label: str
     values: tuple[int, ...]
     year: int | None = None
-    # how often each distinct value occurs: the corpus's sufficient
-    # statistic, shared by every view; do not modify it
-    value_counts: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(map(operator.index, self.values))
-        if not values:
+        if not len(self):
             raise EmptyCorpusError(f"corpus {self.label!r} has no values")
-        counts = Counter(values)
-        if min(counts) < 0:
+        distinct, counts = np.unique(self._values, return_counts=True)
+        distinct = distinct.tolist()
+        if distinct[0] < 0:
             raise ValueError(f"corpus {self.label!r} contains negative values")
-        largest = max(counts)
+        largest = distinct[-1]
         try:
             float(largest)
         except OverflowError:
@@ -69,21 +76,21 @@ class NumberCorpus:
                 f"corpus {self.label!r} holds a {largest.bit_length()}-bit value, "
                 "too large to convert to a float"
             ) from None
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "value_counts", counts)
+        running = np.zeros(len(counts) + 1, np.int64)
+        np.cumsum(counts, out=running[1:])
+        # The distinct values in ascending order, and the running counts:
+        # ``running[i]`` values lie below ``distinct[i]``, and the last entry
+        # is the corpus size.  The counts are machine integers.
+        object.__setattr__(self, "_ascending", (distinct, array("q", running.tobytes())))
 
     def __len__(self):
-        return len(self.values)
+        return len(self._values)
 
     @cached_property
-    def _ascending(self) -> tuple[list[int], array]:
-        """The distinct values in ascending order, and the running counts:
-        ``running[i]`` values lie below ``distinct[i]``, and the last entry
-        is the corpus size.  The counts are machine integers, so the table
-        adds no int object to those the corpus holds."""
-        counts = self.value_counts
-        distinct = sorted(counts)
-        return distinct, array("q", chain((0,), accumulate(map(counts.__getitem__, distinct))))
+    def value_counts(self) -> Counter:
+        """How often each distinct value occurs, in ascending value order."""
+        distinct, running = self._ascending
+        return Counter(dict(zip(distinct, np.diff(running).tolist())))
 
     @cached_property
     def _digits_by_length(self) -> Counter:
@@ -103,6 +110,28 @@ class NumberCorpus:
         return table
 
 
+def _values_tuple(corpus: NumberCorpus) -> tuple[int, ...]:
+    return tuple(corpus._values.tolist())
+
+
+def _keep_values(corpus: NumberCorpus, values) -> None:
+    """Keep ``values`` as the corpus's read-only array; only ``__init__``
+    sets the field, as the dataclass is frozen."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        if values.flags.writeable:
+            values = values.copy()
+    else:
+        values = _int_array(list(map(operator.index, values)))
+    values.flags.writeable = False
+    object.__setattr__(corpus, "_values", values)
+
+
+# installed after the dataclass is made, so that ``values`` stays its field
+# and the generated __init__, __eq__, __hash__ and __repr__ read and set
+# it through this property
+NumberCorpus.values = property(_values_tuple, _keep_values)
+
+
 @dataclass(frozen=True)
 class CorpusStats:
     observation_count: int
@@ -115,12 +144,11 @@ class CorpusStats:
 def corpus_stats(corpus: NumberCorpus) -> CorpusStats:
     """Exact count/max/min, mean and sorted-middle median.
 
-    Computed on Python integers from the value->count table, so
+    Computed on Python integers from the sorted count table, so
     arbitrarily large values stay exact: the mean is the exact total
     divided by n, and the median is read off cumulative counts the way
     ``statistics.median`` reads the sorted values.
     """
-    counts = corpus.value_counts
     distinct, running = corpus._ascending
     n = running[-1]
     # sorted position i holds the last value with at most i values below it
@@ -130,7 +158,7 @@ def corpus_stats(corpus: NumberCorpus) -> CorpusStats:
         observation_count=n,
         max=distinct[-1],
         min=distinct[0],
-        mean=sum(map(operator.mul, counts.keys(), counts.values())) / n,
+        mean=sum(map(operator.mul, distinct, np.diff(running).tolist())) / n,
         median=float(low) if n % 2 else (low + high) / 2,
     )
 
@@ -230,10 +258,11 @@ class RankFrequencyTable(_CountsView):
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "RankFrequencyTable":
-        counts = corpus.value_counts
+        distinct, running = corpus._ascending
+        counts = np.diff(running)
         # stable: equal counts keep their ascending order
-        values = sorted(corpus._ascending[0], key=counts.__getitem__, reverse=True)
-        return cls(values, tuple(map(counts.__getitem__, values)))
+        order = np.argsort(-counts, kind="stable")
+        return cls(list(map(distinct.__getitem__, order.tolist())), counts[order].tolist())
 
     def __len__(self):
         return len(self.values)
@@ -244,5 +273,6 @@ def merge_corpora(corpora) -> NumberCorpus:
     corpora = list(corpora)
     if not corpora:
         raise EmptyCorpusError("no corpora to merge")
-    values = chain.from_iterable(c.values for c in corpora)
+    values = np.concatenate([c._values for c in corpora])
+    values.flags.writeable = False  # a new array: the corpus may take it whole
     return NumberCorpus(label="pooled", values=values)

@@ -32,9 +32,11 @@ as in a file of one integer per line, every digit run is a token: a
 numpy kernel finds the runs in its bytes and evaluates them in int64, so
 no token string is made.  Any other window, or one with a run of more
 than 18 digits, which int64 cannot hold, is read by the pattern's
-``findall`` and each token converted with ``int()``.  Either way each
-token is converted once, and ``NumberCorpus`` only checks that it is an
-integer.
+``findall``, each token converted with ``int()`` and the window's ints
+put in one array (int64, or object when one exceeds int64).  Either way
+each token is converted once, and the windows' arrays are joined once
+into the one array in document order that ``NumberCorpus`` keeps and
+counts with ``np.unique``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import NumberCorpus
+from .corpus import NumberCorpus, _int_array
 from .errors import EmptyCorpusError, IngestError
 
 THOUSANDS_SEPARATORS = ",\u2009\u202f"
@@ -86,9 +88,9 @@ def _swap_separators(text: str) -> str:
     return text
 
 
-def _plain_values(window: str) -> list[int] | None:
-    """The integers of a plain ``window``, or None if it is not plain or
-    holds a run of more than ``_KERNEL_DIGITS`` digits."""
+def _plain_values(window: str) -> np.ndarray | None:
+    """The integers of a plain ``window`` as an int64 array, or None if it
+    is not plain or holds a run of more than ``_KERNEL_DIGITS`` digits."""
     if not window.isascii():
         return None
     raw = window.encode("ascii")
@@ -118,11 +120,11 @@ def _plain_values(window: str) -> list[int] | None:
         values[:m] += digits[at[:m]]
     in_order = np.empty_like(values)
     in_order[order] = values
-    return in_order.tolist()
+    return in_order
 
 
 def _token_windows(text: str):
-    """The tokens of a swapped ``text`` as integers, one window's list at a time."""
+    """The tokens of a swapped ``text`` as integers, one window's array at a time."""
     pos = 0
     while pos < len(text):
         edge = _EDGE.search(text, pos + _WINDOW)
@@ -130,7 +132,7 @@ def _token_windows(text: str):
         values = _plain_values(text[pos:end])
         if values is None:
             try:
-                values = list(map(int, _TOKEN.findall(text, pos, end)))
+                values = _int_array(list(map(int, _TOKEN.findall(text, pos, end))))
             except ValueError:  # beyond the interpreter's integer string conversion limit
                 raise IngestError(_TOO_MANY_DIGITS) from None
         yield values
@@ -144,7 +146,9 @@ def extract_numbers(
 
     Raises EmptyCorpusError when no token survives the filtering rules.
     """
-    values = itertools.chain.from_iterable(_token_windows(_swap_separators(text)))
+    windows = _token_windows(_swap_separators(text))
+    values = np.concatenate([np.empty(0, np.int64), *windows])
+    values.flags.writeable = False  # a new array: the corpus may take it whole
     try:
         return NumberCorpus(label=label, values=values, year=year)
     except EmptyCorpusError:

@@ -75,3 +75,40 @@ def test_a_run_without_result_leaves_its_pair_out():
     assert summary["analysis_p50_s"]["head_better_in"] == "2 of 2"
     assert summary["analysis_p50_s"]["head_median"] == pytest.approx(0.41)
     assert summary["analysis_p50_s"]["base_median"] == 0.50
+
+
+def test_workload_lists():
+    assert bench_pairs.parse_workloads("all") == ["statements", "bulk", "tiny"]
+    assert bench_pairs.parse_workloads("tiny,bulk") == ["tiny", "bulk"]
+    for bad in ("bulk,bulk", "bulk,", "huge", ""):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_workloads(bad)
+
+
+def test_each_pair_runs_every_workload_on_both_sides_abba():
+    assert bench_pairs.schedule(2, ["bulk", "tiny"]) == [
+        (0, "bulk", 0, "base"), (0, "bulk", 1, "head"),
+        (0, "tiny", 0, "base"), (0, "tiny", 1, "head"),
+        (1, "bulk", 0, "head"), (1, "bulk", 1, "base"),
+        (1, "tiny", 0, "head"), (1, "tiny", 1, "base"),
+    ]
+
+
+def test_summary_per_workload():
+    """Each workload's summary reads its own runs only."""
+    tiny = [(0, "base", run_line(0.010, 3.0e3, 38.0)),
+            (0, "head", run_line(0.011, 2.9e3, 38.5)),
+            (1, "head", run_line(0.009, 3.1e3, 37.5)),
+            (1, "base", run_line(0.012, 2.8e3, 38.0))]
+    runs = [{"workload": "bulk", **run} for run in recorded_runs()] + [
+        {"pair": pair, "side": side, "workload": "tiny",
+         **bench_pairs.parse_run_line(line)}
+        for pair, side, line in tiny
+    ]
+    summary = bench_pairs.summarize_workloads(runs, BETTER)
+    assert list(summary) == ["bulk", "tiny"]
+    assert summary["bulk"] == bench_pairs.summarize(recorded_runs(), BETTER)
+    p50 = summary["tiny"]["analysis_p50_s"]
+    assert (p50["base_median"], p50["head_median"]) == pytest.approx((0.011, 0.010))
+    assert p50["head_better_in"] == "1 of 2"
+    assert summary["tiny"]["peak_rss_mb"]["head_better_in"] == "1 of 2"

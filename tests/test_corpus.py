@@ -2,6 +2,7 @@
 
 import dataclasses
 import statistics
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -47,8 +48,12 @@ class TestNumberCorpus:
         assert len(corpus) == 4
 
     def test_counted_at_construction(self):
+        """The sorted table is built with the corpus; the value->count
+        table is derived from it only when read."""
         corpus = make_corpus([5, 5, 5, 1])
-        assert vars(corpus)["value_counts"] == Counter({5: 3, 1: 1})
+        assert vars(corpus)["_ascending"] == ([1, 5], array("q", [0, 1, 4]))
+        assert "value_counts" not in vars(corpus)
+        assert corpus.value_counts == Counter({5: 3, 1: 1})
 
     def test_equality_hash_and_repr_ignore_the_counts(self):
         a, b = make_corpus([5, 1, 5]), make_corpus([5, 1, 5])
@@ -62,6 +67,31 @@ class TestNumberCorpus:
         corpus = NumberCorpus("t", [True, np.int64(12), 7, *np.array([3], dtype=np.uint8)])
         assert corpus.values == (1, 12, 7, 3)
         assert all(type(v) is int for v in corpus.values)
+
+    def test_numpy_arrays_of_any_integer_type(self):
+        big = NumberCorpus("t", np.array([2**63 + 5, 1, 2**64 - 1], dtype=np.uint64))
+        assert big.values == (2**63 + 5, 1, 2**64 - 1)
+        assert corpus_stats(big).max == 2**64 - 1
+        small = NumberCorpus("t", np.array([3, 127, 3], dtype=np.int8))
+        assert small.values == (3, 127, 3)
+        mixed = NumberCorpus("t", [2**70, np.int64(2), np.uint64(2**64 - 1), 2, np.int8(7)])
+        assert mixed.values == (2**70, 2, 2**64 - 1, 2, 7)
+        assert mixed.value_counts == Counter({2: 2, 7: 1, 2**64 - 1: 1, 2**70: 1})
+        for corpus in (big, small, mixed):
+            assert all(type(v) is int for v in corpus.values)
+
+    def test_numpy_bools_are_not_integers(self):
+        """numpy's bool is no index, unlike Python's."""
+        with pytest.raises(TypeError):
+            NumberCorpus("t", np.array([True, False]))
+
+    def test_an_int64_array_is_kept_read_only_and_apart_from_its_source(self):
+        source = np.array([4, 4, 9], dtype=np.int64)
+        corpus = NumberCorpus("t", source)
+        source[0] = 7
+        assert corpus.values == (4, 4, 9)
+        assert corpus.value_counts == Counter({4: 2, 9: 1})
+        assert not corpus._values.flags.writeable
 
     @pytest.mark.parametrize("value", [1.5, 2.0, "12", "1_234", None])
     def test_rejects_values_that_are_not_integers(self, value):
@@ -265,6 +295,15 @@ class TestMergeCorpora:
         a = make_corpus([1, 2], label="a")
         b = make_corpus([3], label="b")
         assert merge_corpora([a, b]).values == (1, 2, 3)
+
+    def test_int64_and_python_int_corpora(self):
+        small = NumberCorpus("a", np.array([2**63 - 1, 3], dtype=np.int64))
+        large = make_corpus([2**64, 3, 2**63], label="b")
+        pooled = merge_corpora([small, large])
+        assert pooled.values == (2**63 - 1, 3, 2**64, 3, 2**63)
+        assert all(type(v) is int for v in pooled.values)
+        assert RankFrequencyTable.from_corpus(pooled).values == (3, 2**63 - 1, 2**63, 2**64)
+        assert LengthHistogram.from_corpus(pooled).counts[-2:] == (2, 1)
 
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyCorpusError):

@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -263,6 +264,25 @@ class TestWindows:
         assert_tokens_not_all_held("{:,}".format)
 
 
+    def test_peak_memory_per_value(self):
+        """A plain text's integers are held as one int64 array and counted
+        by ``np.unique``, with no Python int per value: extraction's traced
+        peak, what the corpus keeps included, stays under 32 bytes per
+        value."""
+        rng = np.random.default_rng(0)
+        pool = rng.integers(10**9, 10**12, size=20_000)
+        values = pool[rng.integers(0, len(pool), size=200_000)]
+        text = "\n".join(map(str, values.tolist())) + "\n"
+        tracemalloc.start()
+        try:
+            corpus = extract_numbers(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == len(values)
+        assert peak < 32 * len(values)
+
+
 def assert_tokens_not_all_held(write):
     values = random.Random(0).sample(range(10**11, 10**12), 150_000)
     text = "\n".join(map(write, values)) + "\n"
@@ -311,7 +331,7 @@ class TestPlainKernel:
         if set(text) <= set("0123456789 \t\n\r") and all(
             len(run) <= 18 for run in text.split()
         ):
-            assert kernel == list(expected)
+            assert kernel.tolist() == list(expected)
         else:
             assert kernel is None
         for window in (extract._WINDOW, *range(1, 9)):
@@ -321,6 +341,33 @@ class TestPlainKernel:
                         extract_numbers(text)
                 else:
                     assert extract_numbers(text).values == expected
+
+
+# the kernel's longest run, int64's limit on either side, 2**64 and a
+# 300-digit value
+_INT64_EDGES = [10**18 - 1, 2**63 - 1, 2**63, 2**64, 10**299 + 7]
+
+
+class TestInt64Boundary:
+    """Values past int64 are kept as Python ints, exact and in order."""
+
+    @pytest.mark.parametrize("value", _INT64_EDGES, ids=lambda v: f"{len(str(v))}digits")
+    def test_alone(self, value):
+        corpus = extract_numbers(f"{value}\n")
+        assert corpus.values == (value,)
+        assert type(corpus.values[0]) is int
+
+    @pytest.mark.parametrize("value", _INT64_EDGES, ids=lambda v: f"{len(str(v))}digits")
+    def test_in_a_later_window_after_plain_ones(self, value):
+        plain = list(range(0, 300, 7))
+        text = "\n".join(map(str, plain)) + f"\n{value} 5\n"
+        with mock.patch.object(extract, "_WINDOW", 16):
+            windows = list(extract._token_windows(text))
+            corpus = extract_numbers(text)
+        assert len(windows) > 2 and windows[0].dtype == np.int64
+        assert any(w.dtype == object for w in windows) == (value >= 2**63)
+        assert corpus.values == (*plain, value, 5)
+        assert all(type(v) is int for v in corpus.values)
 
 
 # The extractor as it stood before one pattern did all the filtering, kept

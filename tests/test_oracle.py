@@ -12,13 +12,21 @@ and recomputes, from that JSON and the table alone:
   values, and its verdict from the thresholds the metrics document;
 - each cutoff: the reported upper cutoff is the fixed point of its law's
   map within the solver's tolerance, and scipy's ``brentq`` on the
-  untransformed equation ``map(u) - u`` confirms the root.
+  untransformed equation ``map(u) - u`` confirms the root;
+- the summary statistics, from ``statistics.mean`` and
+  ``statistics.median`` over every occurrence;
+- for two corpora, each pooled fit's observed frequencies, from the sum
+  of the two tables.
+
+The drawn values cross int64's limit, where a corpus keeps Python ints in
+place of an int64 array.
 
 Whether a Gamma fit reaches the least-squares optimum is not checked here.
 """
 
 import json
 import math
+import statistics
 import sys
 from collections import Counter
 
@@ -47,8 +55,14 @@ CUTOFF_XTOL = 2e-12
 CUTOFF_LAW = {"first_digit": "gamma", "frequency": "zipf", "length": "gamma"}
 ALPHA = {"gamma": "shape", "zipf": "exponent"}
 
-# small values repeat across tables, and large ones spread the lengths
-_VALUE = st.one_of(st.integers(0, 30), st.integers(0, 10**12), st.integers(0, 10**300 - 1))
+# small values repeat across tables, large ones spread the lengths, and
+# values about 2**63 cross int64's limit
+_VALUE = st.one_of(
+    st.integers(0, 30),
+    st.integers(0, 10**12),
+    st.integers(2**63 - 3, 2**63 + 3),
+    st.integers(0, 10**300 - 1),
+)
 _TABLES = st.dictionaries(_VALUE, st.integers(1, 40), min_size=1, max_size=10)
 
 
@@ -182,16 +196,29 @@ def check_cutoff(dimension: str, section: dict):
     assert abs(y - math.log(root / lower)) <= tolerance, (dimension, u, root)
 
 
+def expand(table: dict) -> list:
+    return [v for v, count in table.items() for _ in range(count)]
+
+
+def check_stats(stats: dict, values: list):
+    assert stats["observation_count"] == len(values)
+    assert (stats["min"], stats["max"]) == (min(values), max(values))
+    assert stats["mean"] == float(statistics.mean(values)), (stats, values)
+    assert stats["median"] == float(statistics.median(values)), (stats, values)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_TABLES)
 @example({1: 2, 2: 1, 3: 3, 40: 1, 500: 2, 7000: 1, 0: 1})
 @example({0: 3})
 @example({5: 1})
+@example({2**63 - 1: 2, 2**63: 1, 2**64: 3, 7: 1})
 def test_report_matches_the_oracle(table):
-    values = [v for v, count in table.items() for _ in range(count)]
+    values = expand(table)
     report = json.loads(
         report_to_json(build_report(NumberCorpus("c", values), AnalysisConfig(cutoff=True)))
     )
+    check_stats(report["corpora"][0]["stats"], values)
     sections = report["corpora"][0]["sections"]
     for dimension, counts in expected_views(table).items():
         section = sections[dimension]
@@ -202,3 +229,27 @@ def test_report_matches_the_oracle(table):
             check_fit(f"{dimension}.{name}", fit, section)
         if section["cutoff"] is not None:
             check_cutoff(dimension, section)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_TABLES, _TABLES)
+@example({1: 2, 30: 1, 2**63 - 1: 1}, {2**63: 2, 1: 1, 5: 3})
+@example({0: 2}, {0: 1, 12: 1})
+def test_pooled_views_are_the_summed_tables(first, second):
+    """Each pooled fit observes the frequencies of the two tables' sum, and
+    passes the same curve, residual and score checks as a corpus's fits."""
+    corpora = [NumberCorpus("a", expand(first)), NumberCorpus("b", expand(second))]
+    report = json.loads(report_to_json(build_report(corpora)))
+    for analysis, table in zip(report["corpora"], (first, second)):
+        check_stats(analysis["stats"], expand(table))
+    summed = Counter(first) + Counter(second)
+    for dimension, counts in expected_views(summed).items():
+        fit = (report["pooled"] or {}).get(dimension)
+        if fit is None:  # refused: the corpora's own sections say why
+            continue
+        total = sum(counts)
+        pooled = {
+            "support": [float(k) for k in range(1, len(counts) + 1)],
+            "frequencies": [c / total for c in counts],
+        }
+        check_fit(f"pooled.{dimension}", fit, pooled)

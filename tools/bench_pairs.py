@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Compare two revisions on one benchmark workload in alternating pairs.
+"""Compare two revisions on benchmark workloads in alternating pairs.
 
     python3 tools/bench_pairs.py --base REV --head REV --workload bulk \\
         --pairs 5 --seed 300 [--seconds 10] [--fresh-copies] > BENCH_<n>.json
 
-Each revision is exported with ``git archive`` into a temporary
+``--workload`` names one workload, a comma-separated list of them, or
+``all``.  Each revision is exported with ``git archive`` into a temporary
 directory outside the repository, and that copy's own
 ``perfbench/run.py --trace 0`` runs in a fresh process.  Pair i runs
-both sides on seed S + i, the base first in even pairs and the head
-first in odd ones (ABBA), so a drift of the machine over the runs
-does not favour one side.  With ``--fresh-copies`` every run gets a
-newly extracted copy, which shows how much a metric moves between
-copies of the same files.
+every named workload, in the order given, on both sides on seed S + i:
+the base first in even pairs and the head first in odd ones (ABBA), so a
+drift of the machine over the runs does not favour one side.  With
+``--fresh-copies`` every run gets a newly extracted copy, which shows how
+much a metric moves between copies of the same files.
 
 Only the last line ``run.py`` prints is read.  Nothing in either copy or
 in this repository is edited; environment variables are set for the
@@ -19,7 +20,8 @@ child processes only (``PYTHONPATH`` is dropped, so each run imports its
 own copy).  The JSON written to standard output holds both revisions,
 the machine, the environment variables that move timings, every run's
 metrics, and per metric each side's median and quartiles and in how
-many pairs the head was better.  Progress goes to standard error.
+many pairs the head was better, per workload.  Progress goes to standard
+error.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from importlib import metadata
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SCHEMA = "numlaws-bench-pairs/1"
+SCHEMA = "numlaws-bench-pairs/2"
 SIDES = ("base", "head")
+WORKLOADS = ("statements", "bulk", "tiny")
 # variables that change what a run measures: byte-code caching, thread
 # counts, CPU dispatch and the allocator
 TIMING_VARS = (
@@ -56,6 +59,26 @@ TIMING_VARS = (
     "NPY_DISABLE_CPU_FEATURES",
     "MALLOC_ARENA_MAX",
 )
+
+
+def parse_workloads(arg: str) -> list[str]:
+    """``all``, or a comma-separated list of workload names, as a list."""
+    names = list(WORKLOADS) if arg == "all" else arg.split(",")
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown or len(set(names)) != len(names):
+        raise ValueError(f"--workload takes 'all' or distinct names from {', '.join(WORKLOADS)}")
+    return names
+
+
+def schedule(pairs: int, workloads: list[str]) -> list[tuple[int, str, int, str]]:
+    """Every run as (pair, workload, order, side): each pair runs each
+    workload on both sides, the base first in even pairs (ABBA)."""
+    return [
+        (pair, workload, order, side)
+        for pair in range(pairs)
+        for workload in workloads
+        for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1])
+    ]
 
 
 def parse_run_line(stdout: str) -> dict:
@@ -102,6 +125,13 @@ def summarize(runs: list[dict], better: dict) -> dict:
         entry["head_better_in"] = f"{wins} of {len(pairs)}"
         summary[name] = entry
     return summary
+
+
+def summarize_workloads(runs: list[dict], better: dict) -> dict:
+    """``summarize`` over each workload's runs, keyed by workload in the
+    order the runs name them."""
+    workloads = dict.fromkeys(run["workload"] for run in runs)
+    return {w: summarize([r for r in runs if r["workload"] == w], better) for w in workloads}
 
 
 def machine() -> dict:
@@ -157,7 +187,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True)
     parser.add_argument("--head", required=True)
-    parser.add_argument("--workload", required=True, choices=("statements", "bulk", "tiny"))
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list of them, or 'all'")
     parser.add_argument("--pairs", required=True, type=int)
     parser.add_argument("--seed", required=True, type=int)
     parser.add_argument("--seconds", type=float, default=10.0)
@@ -165,6 +196,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seed < 0 or args.seconds <= 0:
         parser.error("--pairs must be >= 1, --seed >= 0 and --seconds > 0")
+    try:
+        workloads = parse_workloads(args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     commits = {side: resolve(getattr(args, side)) for side in SIDES}
     archives = {
@@ -180,26 +215,25 @@ def main(argv=None) -> int:
             m["name"]: m["better"]
             for m in json.loads((copies["head"] / "BENCHMARK.json").read_text())["end_to_end"]
         }
-        for pair in range(args.pairs):
+        for pair, workload, order, side in schedule(args.pairs, workloads):
             seed = args.seed + pair
-            for order, side in enumerate(SIDES if pair % 2 == 0 else SIDES[::-1]):
-                copy = copies[side]
-                if args.fresh_copies:
-                    copy = export(archives[side], tmp / f"{side}-{pair}")
-                result = run_once(copy, args.workload, seed, args.seconds)
-                if args.fresh_copies:
-                    shutil.rmtree(copy)
-                runs.append({"pair": pair, "order": order, "side": side, "seed": seed,
-                             **result})
-                shown = result.get("metrics", result.get("error"))
-                print(f"pair {pair} {side}: {shown}", file=sys.stderr)
+            copy = copies[side]
+            if args.fresh_copies:
+                copy = export(archives[side], tmp / f"{side}-{pair}")
+            result = run_once(copy, workload, seed, args.seconds)
+            if args.fresh_copies:
+                shutil.rmtree(copy)
+            runs.append({"pair": pair, "workload": workload, "order": order, "side": side,
+                         "seed": seed, **result})
+            shown = result.get("metrics", result.get("error"))
+            print(f"pair {pair} {workload} {side}: {shown}", file=sys.stderr)
 
     print(json.dumps({
         "schema": SCHEMA,
         "base": {"rev": args.base, "commit": commits["base"]},
         "head": {"rev": args.head, "commit": commits["head"]},
-        "workload": args.workload,
-        "command": f"python3 perfbench/run.py --workload {args.workload} "
+        "workloads": workloads,
+        "command": "python3 perfbench/run.py --workload <workload> "
                    f"--seed <seed + pair> --seconds {args.seconds:g} --trace 0",
         "pairs": args.pairs,
         "seed": args.seed,
@@ -208,9 +242,13 @@ def main(argv=None) -> int:
         "environment": {var: child_environment().get(var) for var in TIMING_VARS},
         "runs": runs,
         "correct_in_every_run": all(r.get("correct") for r in runs),
-        "failed": {side: sum(r.get("failed", 0) for r in runs if r["side"] == side)
-                   for side in SIDES},
-        "summary": summarize(runs, better),
+        "failed": {
+            workload: {side: sum(r.get("failed", 0) for r in runs
+                                 if (r["workload"], r["side"]) == (workload, side))
+                       for side in SIDES}
+            for workload in workloads
+        },
+        "summary": summarize_workloads(runs, better),
     }, indent=1))
     return 0 if all("metrics" in r for r in runs) else 1
 

@@ -76,12 +76,15 @@ class NumberCorpus:
                 f"corpus {self.label!r} holds a {largest.bit_length()}-bit value, "
                 "too large to convert to a float"
             ) from None
-        running = np.zeros(len(counts) + 1, np.int64)
-        np.cumsum(counts, out=running[1:])
         # The distinct values in ascending order, and the running counts:
         # ``running[i]`` values lie below ``distinct[i]``, and the last entry
-        # is the corpus size.  The counts are machine integers.
-        object.__setattr__(self, "_ascending", (distinct, array("q", running.tobytes())))
+        # is the corpus size.  The counts are summed in place and copied
+        # once, into machine integers.
+        counts = counts.astype(np.int64, copy=False)
+        np.cumsum(counts, out=counts)
+        running = array("q", [0])
+        running.frombytes(counts.data.cast("B"))
+        object.__setattr__(self, "_ascending", (distinct, running))
 
     def __len__(self):
         return len(self._values)

@@ -28,10 +28,10 @@ ends just after a character other than a digit, "_" or ".", so no token,
 group or lookahead crosses its edge and the tokens are those of one pass
 over the whole text.  A text with no such character is read as one
 window.  In a window of ASCII digits, spaces, tabs and line breaks alone,
-as in a file of one integer per line, every digit run is a token: a
-numpy kernel finds the runs in its bytes and evaluates them in int64, so
-no token string is made.  Any other window, or one with a run of more
-than 18 digits, which int64 cannot hold, is read by the pattern's
+as in a file of one integer per line, every digit run is a token: numpy's
+text parser reads the window's bytes into int64, so no token string is
+made.  Any other window, or one holding a value of 10**18 or more, which
+the parser would saturate at int64's limit, is read by the pattern's
 ``findall``, each token converted with ``int()`` and the window's ints
 put in one array (int64, or object when one exceeds int64).  Either way
 each token is converted once, and the windows' arrays are joined once
@@ -76,8 +76,9 @@ _WINDOW = 1 << 16
 _EDGE = re.compile(r"[^0-9_.]")
 # The bytes of a plain window: every digit run in it is a token.
 _PLAIN = b"0123456789 \t\n\r"
-# The longest run the kernel evaluates: 10**18 - 1 < 2**63.
-_KERNEL_DIGITS = 18
+# The least value a plain window leaves to the pattern: numpy's parser
+# saturates past 2**63 - 1, and 10**18 < 2**63.
+_INT64_SAFE = 10**18
 _TOO_MANY_DIGITS = "an integer token has too many digits to convert"
 
 
@@ -90,37 +91,19 @@ def _swap_separators(text: str) -> str:
 
 def _plain_values(window: str) -> np.ndarray | None:
     """The integers of a plain ``window`` as an int64 array, or None if it
-    is not plain or holds a run of more than ``_KERNEL_DIGITS`` digits."""
+    is not plain or holds a value of ``_INT64_SAFE`` or more."""
     if not window.isascii():
         return None
     raw = window.encode("ascii")
     if raw.translate(None, _PLAIN):  # what is left after deleting the plain bytes
         return None
-    codes = np.frombuffer(raw, np.uint8)
-    # digits are the plain bytes above the space; runs start and end where
-    # the padded digit mask changes
-    is_digit = np.zeros(len(codes) + 2, bool)
-    np.greater(codes, ord(" "), out=is_digit[1:-1])
-    edges = np.flatnonzero(np.diff(is_digit))
-    starts, lengths = edges[::2], edges[1::2] - edges[::2]
-    runs_by_length = np.bincount(lengths)
-    if len(runs_by_length) > _KERNEL_DIGITS + 1:
+    if raw.isspace():  # numpy reads a window of separators alone as one 0
+        return np.empty(0, np.int64)
+    values = np.fromstring(raw, np.int64, sep=" ")
+    # numpy saturates a value past int64 at 2**63 - 1 instead of failing
+    if len(values) and values.max() >= _INT64_SAFE:
         return None
-    # Horner's rule, longest runs first, so that the runs with a k-th digit
-    # are the first ``longer[k]``; a uint8 key sorts by radix
-    order = np.argsort(lengths.astype(np.uint8), kind="stable")[::-1]
-    at = starts[order]
-    digits = codes - ord("0")  # uint8, so it stays as small as the window
-    values = digits[at].astype(np.int64)
-    longer = len(at) - np.cumsum(runs_by_length)
-    for k in range(1, len(runs_by_length) - 1):
-        m = longer[k]
-        at[:m] += 1
-        values[:m] *= 10
-        values[:m] += digits[at[:m]]
-    in_order = np.empty_like(values)
-    in_order[order] = values
-    return in_order
+    return values
 
 
 def _token_windows(text: str):

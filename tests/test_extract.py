@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -298,7 +299,8 @@ def assert_tokens_not_all_held(write):
 
 
 _DIGITS = st.sampled_from("0123456789")
-# short runs, runs about the kernel's 18-digit limit, and leading zeros
+# short runs, runs about 10**18, the least value the parser leaves to the
+# pattern, and leading zeros
 _RUNS = st.one_of(
     st.text(_DIGITS, min_size=1, max_size=4),
     st.text(_DIGITS, min_size=17, max_size=20),
@@ -320,20 +322,24 @@ class TestPlainKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(_PLAIN_TEXTS)
-    @example(str(10**18 - 1))  # the longest run the kernel reads
-    @example(f"1 {10**18}\n")  # one digit more: the pattern reads this window
+    @example(str(10**18 - 1))  # the largest value numpy's parser reads
+    @example(f"1 {10**18}\n")  # one more: the pattern reads this window
+    @example(f"5\n{10**18}\n")
+    @example(str(2**63 - 1))  # where the parser saturates
+    @example("0" * 19 + " ")  # long runs of leading zeros: the parser reads them
+    @example("0" * 40 + "7\n")
     @example("7" + " " * 30 + "8\n")  # windows of whitespace alone
     @example(" \r\n\t")
     @example("12\f34\v56\u00a078 9")  # other whitespace: the pattern reads these
     def test_extract_numbers_splits_plain_text(self, text):
         expected = tuple(map(int, text.split()))
-        kernel = extract._plain_values(text)
-        if set(text) <= set("0123456789 \t\n\r") and all(
-            len(run) <= 18 for run in text.split()
-        ):
-            assert kernel.tolist() == list(expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a deprecation of the parser fails here
+            parsed = extract._plain_values(text)
+        if set(text) <= set("0123456789 \t\n\r") and all(v < 10**18 for v in expected):
+            assert parsed.tolist() == list(expected)
         else:
-            assert kernel is None
+            assert parsed is None
         for window in (extract._WINDOW, *range(1, 9)):
             with mock.patch.object(extract, "_WINDOW", window):
                 if not expected:
@@ -343,8 +349,8 @@ class TestPlainKernel:
                     assert extract_numbers(text).values == expected
 
 
-# the kernel's longest run, int64's limit on either side, 2**64 and a
-# 300-digit value
+# the largest value numpy's parser reads, int64's limit on either side,
+# 2**64 and a 300-digit value
 _INT64_EDGES = [10**18 - 1, 2**63 - 1, 2**63, 2**64, 10**299 + 7]
 
 

@@ -73,7 +73,8 @@ def kl_divergence(p, q) -> float:
     # a subnormal fitted mass overflows the ratio; its log stays finite
     overflow = np.isinf(log_ratio)
     log_ratio[overflow] = np.log(p[overflow]) - np.log(q[overflow])
-    return float(np.sum(p * log_ratio))
+    # rounding can leave a near-exact fit a few ulps below zero
+    return max(0.0, float(np.sum(p * log_ratio)))
 
 
 def js_divergence(p, q) -> float:
@@ -86,7 +87,8 @@ def js_divergence(p, q) -> float:
     right = q > 0.0
     term_p = float(np.sum(p[left] * np.log2(2.0 * p[left] / m[left])))
     term_q = float(np.sum(q[right] * np.log2(2.0 * q[right] / m[right])))
-    return 0.5 * term_p + 0.5 * term_q
+    # rounding can leave a near-exact fit a few ulps outside [0, 1]
+    return min(1.0, max(0.0, 0.5 * term_p + 0.5 * term_q))
 
 
 def mape(observed, fitted) -> float:

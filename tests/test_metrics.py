@@ -1,11 +1,22 @@
 """The four goodness-of-fit metrics and their classification thresholds."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from numlaws import classify_fit, js_divergence, kl_divergence, mape, r_squared
+from numlaws import (
+    AnalysisConfig,
+    NumberCorpus,
+    build_report,
+    classify_fit,
+    js_divergence,
+    kl_divergence,
+    mape,
+    r_squared,
+    report_to_json,
+)
 from numlaws.errors import DegenerateDataError
 from numlaws.metrics import MetricScores, score_fit
 
@@ -201,3 +212,17 @@ class TestScoreFit:
         scores = score_fit([0.5, 0.5], [0.4, 0.6])
         assert scores.r_squared == -math.inf
         assert classify_fit(scores).r_squared == "fail"
+
+    def test_near_exact_fit_scores_within_the_documented_ranges(self):
+        # the frequency section's Zipf fit is exact up to rounding, which
+        # left its KL and JS a few ulps below zero
+        corpus = NumberCorpus(label="near-exact", values=[0] * 17 + [1] * 3)
+        report = json.loads(report_to_json(build_report(corpus, AnalysisConfig(cutoff=True))))
+        sections = report["corpora"][0]["sections"]
+        zipf = sections["frequency"]["fits"]["zipf"]
+        assert zipf["scores"]["kl"] == 0.0
+        assert zipf["scores"]["js"] == 0.0
+        for section in sections.values():
+            for fit in section["fits"].values():
+                assert fit["scores"]["kl"] >= 0.0
+                assert 0.0 <= fit["scores"]["js"] <= 1.0

@@ -112,3 +112,14 @@ def test_summary_per_workload():
     assert (p50["base_median"], p50["head_median"]) == pytest.approx((0.011, 0.010))
     assert p50["head_better_in"] == "1 of 2"
     assert summary["tiny"]["peak_rss_mb"]["head_better_in"] == "1 of 2"
+
+
+def test_src_lines_counts_as_cat_and_wc_do(tmp_path):
+    package = tmp_path / "src" / "numlaws"
+    (package / "schemas").mkdir(parents=True)
+    (package / "a.py").write_text("import b\n\nx = 1\n")
+    (package / "b.py").write_text("y = 2")  # no final line break: wc counts none
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "schemas" / "c.py").write_text("nor\nthis\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+

@@ -17,11 +17,11 @@ much a metric moves between copies of the same files.
 Only the last line ``run.py`` prints is read.  Nothing in either copy or
 in this repository is edited; environment variables are set for the
 child processes only (``PYTHONPATH`` is dropped, so each run imports its
-own copy).  The JSON written to standard output holds both revisions,
-the machine, the environment variables that move timings, every run's
-metrics, and per metric each side's median and quartiles and in how
-many pairs the head was better, per workload.  Progress goes to standard
-error.
+own copy).  The JSON written to standard output holds both revisions
+with each one's ``src/numlaws`` line count, the machine, the environment
+variables that move timings, every run's metrics, and per metric each
+side's median and quartiles and in how many pairs the head was better,
+per workload.  Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from importlib import metadata
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SCHEMA = "numlaws-bench-pairs/2"
+SCHEMA = "numlaws-bench-pairs/3"
 SIDES = ("base", "head")
 WORKLOADS = ("statements", "bulk", "tiny")
 # variables that change what a run measures: byte-code caching, thread
@@ -165,6 +165,12 @@ def export(archive: bytes, into: Path) -> Path:
     return into
 
 
+def src_lines(copy: Path) -> int:
+    """The lines of a copy's ``src/numlaws/*.py``, counted as
+    ``cat src/numlaws/*.py | wc -l`` counts them: by line breaks."""
+    return sum(path.read_bytes().count(b"\n") for path in (copy / "src" / "numlaws").glob("*.py"))
+
+
 def child_environment() -> dict:
     """This process's environment without ``PYTHONPATH``, so that each run
     imports numlaws from its own copy."""
@@ -211,6 +217,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tmp = Path(tmp)
         copies = {side: export(archives[side], tmp / side) for side in SIDES}
+        lines = {side: src_lines(copies[side]) for side in SIDES}
         better = {
             m["name"]: m["better"]
             for m in json.loads((copies["head"] / "BENCHMARK.json").read_text())["end_to_end"]
@@ -230,8 +237,8 @@ def main(argv=None) -> int:
 
     print(json.dumps({
         "schema": SCHEMA,
-        "base": {"rev": args.base, "commit": commits["base"]},
-        "head": {"rev": args.head, "commit": commits["head"]},
+        **{side: {"rev": getattr(args, side), "commit": commits[side], "src_lines": lines[side]}
+           for side in SIDES},
         "workloads": workloads,
         "command": "python3 perfbench/run.py --workload <workload> "
                    f"--seed <seed + pair> --seconds {args.seconds:g} --trace 0",

@@ -16,7 +16,16 @@ and recomputes, from that JSON and the table alone:
 - the summary statistics, from ``statistics.mean`` and
   ``statistics.median`` over every occurrence;
 - for two corpora, each pooled fit's observed frequencies, from the sum
-  of the two tables.
+  of the two tables;
+- each Zipf fit's exponent and scale, from ``np.polyfit`` on (log rank,
+  log frequency) over the positive bins, and that a Zipf candidate is
+  missing only when no such fit exists in floats;
+- each boundary entry, from the section's cutoff and frequencies;
+- for three or four corpora with distinct years, each trend: the least
+  squares slope (``statistics.linear_regression``) of a candidate's
+  finite R^2 over the years, and its flag below -0.02 per year;
+- the anomaly list, in order: poor fits of each dimension's primary
+  model, section notes, exceeded boundaries and declining trends.
 
 The drawn values cross int64's limit, where a corpus keeps Python ints in
 place of an int64 array.
@@ -31,6 +40,7 @@ import sys
 from collections import Counter
 
 import mpmath
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -54,6 +64,12 @@ CUTOFF_XTOL = 2e-12
 # built") and the parameter that is its alpha
 CUTOFF_LAW = {"first_digit": "gamma", "frequency": "zipf", "length": "gamma"}
 ALPHA = {"gamma": "shape", "zipf": "exponent"}
+# each dimension's conformity model, whose failed R^2 is a poor fit, and
+# the observed share its boundary bounds
+PRIMARY = {"first_digit": "benford", "frequency": "zipf", "length": "gamma"}
+BOUNDED_SHARE = {"first_digit": max, "frequency": max, "length": lambda f: f[-1]}
+# an R^2 slope per year below this flags a declining trend
+TREND_SLOPE = -0.02
 
 # small values repeat across tables, large ones spread the lengths, and
 # values about 2**63 cross int64's limit
@@ -172,7 +188,35 @@ def check_fit(name: str, fit: dict, section: dict):
     assert close(fit["residual_sum"], residual, atol=1e-300), name
     for metric, value in scores(fit["observed"], fit["fitted"]).items():
         assert close(fit["scores"][metric], value), (name, metric, fit["scores"], value)
+    # the documented ranges, which rounding alone must not leave
+    assert fit["scores"]["kl"] >= 0 and 0 <= fit["scores"]["js"] <= 1, (name, fit["scores"])
+    if fit["model"] == "zipf":
+        check_zipf(name, fit)
     assert fit["verdict"] == verdict(fit["scores"]), name
+
+
+def expected_zipf(support, observed):
+    """(exponent, scale) of the least-squares line through (log rank, log
+    frequency) over the positive bins, or None when no fit exists in
+    floats: fewer than two such bins, or a scale or curve beyond them."""
+    points = [(math.log(x), math.log(f)) for x, f in zip(support, observed) if f > 0]
+    if len(points) < 2:
+        return None
+    slope, intercept = np.polyfit(*zip(*points), deg=1)
+    with mpmath.workdps(40):
+        scale = mpmath.exp(intercept)
+        largest = max(scale * mpmath.mpf(x) ** slope for x in support)
+    if largest > sys.float_info.max:
+        return None
+    return -float(slope), float(scale)
+
+
+def check_zipf(name: str, fit: dict):
+    expected = expected_zipf(fit["support"], fit["observed"])
+    assert expected is not None, name
+    exponent, scale = expected
+    assert close(fit["params"]["exponent"], exponent), (name, fit["params"], expected)
+    assert close(fit["params"]["scale"], scale), (name, fit["params"], expected)
 
 
 def check_cutoff(dimension: str, section: dict):
@@ -194,6 +238,84 @@ def check_cutoff(dimension: str, section: dict):
     assert step(low) - low > 0 > step(high) - high, (dimension, cutoff)
     root = brentq(lambda v: step(v) - v, low, high, xtol=1e-300, rtol=4 * EPS)
     assert abs(y - math.log(root / lower)) <= tolerance, (dimension, u, root)
+
+
+def expected_boundaries(sections: dict) -> list:
+    """Each cut section's observed share against its upper cutoff."""
+    entries = []
+    for dimension in sorted(sections):
+        cutoff = sections[dimension]["cutoff"]
+        if cutoff is None:
+            continue
+        observed = BOUNDED_SHARE[dimension](sections[dimension]["frequencies"])
+        entries.append({
+            "converged": cutoff["converged"],
+            "dimension": dimension,
+            "estimated_share": cutoff["upper_cutoff"],
+            "observed_share": observed,
+            "within_boundary": observed <= cutoff["upper_cutoff"],
+        })
+    return entries
+
+
+def check_trends(report: dict):
+    """Each candidate's finite R^2 over the years: its slope and flag."""
+    corpora = report["corpora"]
+    years = [c["year"] for c in corpora]
+    expected = []
+    if None not in years and len(set(years)) == len(years) >= 3:
+        for dimension in report["provenance"]["analyses"]:
+            fits_by_year = sorted(
+                (c["year"], c["sections"][dimension]["fits"]) for c in corpora
+            )
+            for model in sorted({name for _, fits in fits_by_year for name in fits}):
+                series = [
+                    (year, fits[model]["scores"]["r_squared"])
+                    for year, fits in fits_by_year
+                    if model in fits and fits[model]["scores"]["r_squared"] is not None
+                ]
+                if len(series) >= 3:
+                    expected.append((f"{dimension}.{model}.r_squared", *zip(*series)))
+    assert [t["metric"] for t in report["trends"]] == [e[0] for e in expected]
+    for trend, (_, trend_years, values) in zip(report["trends"], expected):
+        assert (tuple(trend["years"]), tuple(trend["values"])) == (trend_years, values)
+        slope = statistics.linear_regression(trend_years, values).slope
+        assert close(trend["slope"], slope), (trend, slope)
+        if abs(slope - TREND_SLOPE) > 1e-9:  # the flag of a slope at the threshold is rounding's
+            assert trend["flagged"] == (slope < TREND_SLOPE), (trend, slope)
+
+
+def check_anomalies(report: dict):
+    """Each corpus's poor fits and notes by dimension, then its exceeded
+    boundaries; then the flagged trends."""
+    expected = []
+    for analysis in report["corpora"]:
+        label, sections = analysis["label"], analysis["sections"]
+        for dimension in sorted(sections):
+            fit = sections[dimension]["fits"].get(PRIMARY[dimension])
+            if fit is not None:
+                r2 = fit["scores"]["r_squared"]
+                r2 = -math.inf if r2 is None else r2
+                if not r2 > R2_ACCEPTABLE:
+                    expected.append(("poor_fit", label, dimension, PRIMARY[dimension],
+                                     f"r_squared={r2!r} below acceptance"))
+            for note in sections[dimension]["notes"]:
+                expected.append(("data_quality", label, dimension, None, note))
+        boundaries = expected_boundaries(sections)
+        assert (analysis["boundaries"] or {"entries": []})["entries"] == boundaries, label
+        for entry in boundaries:
+            if not entry["within_boundary"]:
+                expected.append((
+                    "boundary_exceeded", label, entry["dimension"], None,
+                    f"observed share {entry['observed_share']!r} exceeds "
+                    f"estimated boundary {entry['estimated_share']!r}",
+                ))
+    for trend in report["trends"]:
+        if trend["flagged"]:
+            expected.append(("declining_trend", None, None, trend["metric"],
+                             f"slope {trend['slope']!r} per year"))
+    keys = ("kind", "corpus", "dimension", "model", "detail")
+    assert [tuple(a[k] for k in keys) for a in report["anomalies"]] == expected
 
 
 def expand(table: dict) -> list:
@@ -227,8 +349,13 @@ def test_report_matches_the_oracle(table):
         assert section["frequencies"] == [c / total for c in counts], dimension
         for name, fit in section["fits"].items():
             check_fit(f"{dimension}.{name}", fit, section)
+        if dimension != "first_digit" and "zipf" not in section["fits"]:
+            # refused only when no Zipf fit exists in floats
+            assert expected_zipf(section["support"], section["frequencies"]) is None, dimension
+            assert any(n.startswith("zipf fit unavailable: ") for n in section["notes"])
         if section["cutoff"] is not None:
             check_cutoff(dimension, section)
+    check_anomalies(report)
 
 
 @settings(max_examples=30, deadline=None)
@@ -253,3 +380,24 @@ def test_pooled_views_are_the_summed_tables(first, second):
             "frequencies": [c / total for c in counts],
         }
         check_fit(f"pooled.{dimension}", fit, pooled)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(_TABLES, min_size=3, max_size=4),
+    st.lists(st.integers(1990, 2030), min_size=4, max_size=4, unique=True),
+)
+# a Benford R^2 slope of -0.0146 per year, between -0.02 and -0.01
+@example([{23: 4, 24: 1, 28: 3, 15: 4}, {18: 2, 13: 4}, {24: 2, 647445: 2, 4: 2}],
+         [1990, 2010, 2030])
+@example([{0: 17, 1: 3}, {5: 1, 50: 2}, {7: 3, 2**63: 1}, {1: 1}], [2003, 2001, 2002, 2000])
+def test_trends_and_anomalies_over_the_years(tables, years):
+    """Three or four corpora with distinct years: every trend and anomaly
+    of the report, re-derived from its sections."""
+    corpora = [
+        NumberCorpus(f"c{i}", expand(table), year=year)
+        for i, (table, year) in enumerate(zip(tables, years))
+    ]
+    report = json.loads(report_to_json(build_report(corpora, AnalysisConfig(cutoff=True))))
+    check_trends(report)
+    check_anomalies(report)

@@ -18,10 +18,10 @@ or the curve's squared error is not finite.
   variable projection: the amplitude is profiled out exactly by a linear
   solve, and one Levenberg-Marquardt run refines (log rate, shape) from
   a closed-form least-squares start in log space, with the exact
-  Golub-Pereyra Jacobian of the profiled residual.  The run is MINPACK's
-  ``lmder`` (Moré 1978, ported in ``_solvers``) with unit column scaling:
-  scaling by the Jacobian's column norms would let one step at a tiny
-  rate move the log-rate by hundreds.  It converges when the actual and
+  Golub-Pereyra Jacobian of the profiled residual.  The run keeps the
+  rules of MINPACK's ``lmder`` (Moré 1978; see ``_solvers``) with unit
+  column scaling: scaling by the Jacobian's column norms would let one
+  step at a tiny rate move the log-rate by hundreds.  It converges when the actual and
   the predicted relative reduction of the SSE are both at most
   ``_FTOL``, when its step bound falls to ``_XTOL`` times the norm of
   the parameters, or when the residual's cosine with every Jacobian

@@ -225,6 +225,16 @@ class TestGammaFit:
             fit_gamma(SyntheticHistogram(xs, freqs))
         assert excinfo.value.best_params is not None
 
+    def test_run_still_going_after_1000_evaluations_is_refused(self):
+        """Counts 2, 4 and 1 at lengths 76, 102 and 167 keep the full run
+        creeping along a valley until the evaluation bound."""
+        counts = [0] * 167
+        counts[75], counts[101], counts[166] = 2, 4, 1
+        with pytest.raises(
+            FitFailureError, match="Gamma optimizer did not converge in 1000 evaluations"
+        ):
+            fit_gamma(LengthHistogram(tuple(counts)))
+
     def test_overflowing_curve_raises(self):
         """An exact power law of shape 131 on 100..300: the amplitude
         underflows to a subnormal and the curve's exp() overflows."""

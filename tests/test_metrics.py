@@ -48,6 +48,13 @@ class TestRSquared:
     def test_constant_observed_with_exact_fit_is_one(self):
         assert r_squared([0.5, 0.5], [0.5, 0.5]) == 1.0
 
+    def test_exact_fit_threshold_is_a_residual_sum_of_1e_12(self):
+        """Four residuals of 3e-7 sum to 3.6e-13, under the threshold;
+        four of 2e-6 sum to 1.6e-11, over it."""
+        assert r_squared([0.25] * 4, [0.25 + 3e-7] * 4) == 1.0
+        with pytest.raises(DegenerateDataError):
+            r_squared([0.25] * 4, [0.25 + 2e-6] * 4)
+
     def test_affine_invariance(self):
         """Same positive scale and shift on both sides leaves R^2 unchanged."""
         rng = np.random.default_rng(4)
@@ -91,6 +98,13 @@ class TestKL:
     def test_zero_fitted_mass_smoothed(self):
         d = kl_divergence([0.5, 0.5], [1.0, 0.0])
         assert math.isfinite(d) and d > 0
+
+    def test_smoothing_adds_1e_10_and_renormalizes(self):
+        eps = 1e-10
+        q = [(1.0 + eps) / (1.0 + 2 * eps), eps / (1.0 + 2 * eps)]
+        expected = 0.5 * math.log(0.5 / q[0]) + 0.5 * math.log(0.5 / q[1])
+        assert expected == 10.819778284560282
+        assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_identity_exact_even_with_zero_entries(self):
         p = np.array([0.5, 0.0, 0.5])

@@ -90,12 +90,6 @@ class NumberCorpus:
         return len(self._values)
 
     @cached_property
-    def value_counts(self) -> Counter:
-        """How often each distinct value occurs, in ascending value order."""
-        distinct, running = self._ascending
-        return Counter(dict(zip(distinct, np.diff(running).tolist())))
-
-    @cached_property
     def _digits_by_length(self) -> Counter:
         """Occurrences per (first digit, decimal length) pair; zero is (0, 1).
         The values of first digit d and length k are the run [d * 10**(k - 1),

@@ -63,13 +63,6 @@ def _qr(columns, norms, f):
     return order, (r11, r12, r22), [math.fsum(map(mul, q1, f)), qtf2]
 
 
-def _transposed_times(r, z):
-    """R^T z for R upper triangular."""
-    if len(z) == 1:
-        return [r[0] * z[0]]
-    return [r[0] * z[0], r[1] * z[0] + r[2] * z[1]]
-
-
 def _back(r, y):
     """z with R z = y."""
     if len(y) == 1:
@@ -123,8 +116,9 @@ def _lmpar(r, qtf, delta, par):
     if not singular:
         temp = math.hypot(*_forward(r, [t / dxnorm for t in z]))
         parl = ((fp / delta) / temp) / temp
-    # the gradient bounds it above
-    gnorm = math.hypot(*_transposed_times(r, qtf))
+    # the gradient, R^T qtf, bounds it above
+    gradient = [r[0] * qtf[0], r[1] * qtf[0] + r[2] * qtf[1]] if len(r) == 3 else [r[0] * qtf[0]]
+    gnorm = math.hypot(*gradient)
     paru = gnorm / delta
     if paru == 0.0:
         paru = _DWARF / min(delta, 0.1)
@@ -199,7 +193,7 @@ def levenberg_marquardt(fun, jac, x0, xtol, ftol, gtol, max_evaluations):
                 temp = fnorm1 / fnorm
                 actred = 1.0 - temp * temp
             # predicted reduction and directional derivative
-            rz = [r[0] * z[0] + r[1] * z[1], r[2] * z[1]] if len(z) == 2 else [r[0] * z[0]]
+            rz = [r[0] * z[0] + r[1] * z[1], r[2] * z[1]] if len(r) == 3 else [r[0] * z[0]]
             temp1 = math.hypot(*rz) / fnorm
             temp2 = (math.sqrt(par) * pnorm) / fnorm
             prered = temp1 * temp1 + temp2 * temp2 / 0.5

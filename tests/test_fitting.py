@@ -227,7 +227,7 @@ class TestGammaFit:
 
     def test_run_still_going_after_1000_evaluations_is_refused(self):
         """Counts 2, 4 and 1 at lengths 76, 102 and 167 keep the full run
-        creeping along a valley until the evaluation bound."""
+        going until the evaluation bound."""
         counts = [0] * 167
         counts[75], counts[101], counts[166] = 2, 4, 1
         with pytest.raises(

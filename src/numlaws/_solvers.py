@@ -14,7 +14,9 @@
   linear algebra is written out for one or two columns: a pivoted QR by
   Gram-Schmidt, and the damped system solved through the Cholesky
   factor of ``R^T R + par I``, with norms by ``math.hypot`` and sums by
-  ``math.fsum``.
+  ``math.fsum``.  One function gives the residuals and their Jacobian
+  at each point, and the solver keeps the Jacobian of each accepted
+  trial for the next outer iteration, where ``lmder`` calls back for it.
 - ``brent`` is Brent's bracketing root finder (Brent 1973) in the
   formulation of SciPy's ``brentq``: f(a), then f(b), then up to 100
   steps of inverse quadratic extrapolation or secant interpolation,
@@ -146,23 +148,25 @@ def _lmpar(r, qtf, delta, par):
         par = max(parl, par + parc)
 
 
-def levenberg_marquardt(fun, jac, x0, xtol, ftol, gtol, max_evaluations):
-    """Minimize ``|fun(x)|^2`` from ``x0`` with the Jacobian ``jac``.
+def levenberg_marquardt(fun, x0, xtol, ftol, gtol, max_evaluations):
+    """Minimize the sum of squares of the residuals ``fun`` gives, from ``x0``.
 
-    ``fun`` maps an array of n = 1 or 2 floats to m >= n residuals,
-    ``jac`` to their m x n Jacobian.  Returns (x, fun(x), converged):
-    the best point, its residuals, and False if the run stopped after
-    ``max_evaluations`` evaluations of ``fun`` rather than on a
-    tolerance.
+    ``fun`` maps an array of n = 1 or 2 floats to (residuals, Jacobian):
+    m >= n residuals and their m x n Jacobian.  It is called once per
+    evaluation, trial steps that are rejected included; the Jacobian of
+    the accepted trial is kept for the next outer iteration.  Returns
+    (x, residuals, converged): the best point, its residuals, and False
+    if the run stopped after ``max_evaluations`` evaluations rather than
+    on a tolerance.
     """
     x = [float(t) for t in x0]
-    fvec = fun(np.array(x))
+    fvec, fjac = fun(np.array(x))
     evaluations = 1
     fnorm = math.hypot(*fvec.tolist())
     par = 0.0
     first = True
     while True:
-        columns, f = jac(np.array(x)).T.tolist(), fvec.tolist()
+        columns, f = fjac.T.tolist(), fvec.tolist()
         norms = [math.hypot(*column) for column in columns]
         if first:
             xnorm = math.hypot(*x)
@@ -185,7 +189,7 @@ def levenberg_marquardt(fun, jac, x0, xtol, ftol, gtol, max_evaluations):
             pnorm = math.hypot(*z)
             if first:
                 delta = min(delta, pnorm)
-            trial_f = fun(np.array(trial))
+            trial_f, trial_jac = fun(np.array(trial))
             evaluations += 1
             fnorm1 = math.hypot(*trial_f.tolist())
             actred = -1.0
@@ -213,7 +217,7 @@ def levenberg_marquardt(fun, jac, x0, xtol, ftol, gtol, max_evaluations):
                 delta = temp * min(delta, pnorm / 0.1)
                 par = par / temp
             if ratio >= 1e-4:
-                x, fvec = trial, trial_f
+                x, fvec, fjac = trial, trial_f, trial_jac
                 xnorm = math.hypot(*x)
                 fnorm = fnorm1
                 first = False

@@ -17,11 +17,13 @@ or the curve's squared error is not finite.
 - ``fit_gamma`` minimizes squared error in linear frequency space by
   variable projection: the amplitude is profiled out exactly by a linear
   solve, and one Levenberg-Marquardt run refines (log rate, shape) from
-  a closed-form least-squares start in log space, with the exact
-  Golub-Pereyra Jacobian of the profiled residual.  The run keeps the
-  rules of MINPACK's ``lmder`` (Moré 1978; see ``_solvers``) with unit
-  column scaling: scaling by the Jacobian's column norms would let one
-  step at a tiny rate move the log-rate by hundreds.  It converges when the actual and
+  a closed-form least-squares start in log space.  Each evaluation is
+  one call of ``_gamma_projection``, which builds the curve once and
+  returns the profiled residual with its exact Golub-Pereyra Jacobian.
+  The run keeps the rules of MINPACK's ``lmder`` (Moré 1978; see
+  ``_solvers``) with unit column scaling: scaling by the Jacobian's
+  column norms would let one step at a tiny rate move the log-rate by
+  hundreds.  It converges when the actual and
   the predicted relative reduction of the SSE are both at most
   ``_FTOL``, when its step bound falls to ``_XTOL`` times the norm of
   the parameters, or when the residual's cosine with every Jacobian
@@ -133,53 +135,35 @@ def _clamped_rate(log_rate):
     return math.exp(min(max(log_rate, _LOG_RATE_MIN), _LOG_RATE_MAX))
 
 
-def _gamma_basis(theta, support, log_support):
-    """(g, shift, rate, centre) for one (rate, shape).
+def _gamma_projection(theta, support, observed, log_support):
+    """The residual of the best amplitude for one (rate, shape), and its Jacobian.
 
     ``theta`` is ``(shape,)`` for the rate-zero fit and ``(log rate,
-    shape)`` otherwise.  ``g`` is the curve shape scaled by
-    ``exp(-shift)``, which keeps exp() in range for extreme shapes;
-    ``centre`` indexes its largest point.
-    """
-    rate = _clamped_rate(theta[0]) if len(theta) == 2 else 0.0
-    log_g = -rate * support + (theta[-1] - 1.0) * log_support
-    centre = int(log_g.argmax())
-    shift = log_g[centre]
-    return np.exp(log_g - shift), shift, rate, centre
+    shape)`` otherwise.  The curve shape ``g`` is built once, scaled by
+    ``exp(-shift)`` so that exp() stays in range for extreme shapes, and
+    the amplitude is solved exactly.  Returns (residual, jacobian,
+    scaled_amplitude, shift); the true amplitude is scaled_amplitude *
+    exp(-shift).
 
-
-def _gamma_profile(theta, support, observed, log_support):
-    """Residual of the best amplitude for one (rate, shape), solved exactly.
-
-    Returns (residual, scaled_amplitude, log_scale) where the true
-    amplitude is scaled_amplitude * exp(-log_scale).
-    """
-    g, shift, _, _ = _gamma_basis(theta, support, log_support)
-    denom = float(g @ g)
-    if denom == 0.0 or not math.isfinite(denom):
-        # amplitude 0: the worst profiled fit, but a finite residual
-        return observed, 0.0, 0.0
-    amplitude = float(observed @ g) / denom
-    return observed - amplitude * g, amplitude, shift
-
-
-def _gamma_jacobian(theta, support, observed, log_support):
-    """Exact Jacobian of ``_gamma_profile``'s residual in ``theta``.
-
-    This is the Golub-Pereyra variable-projection derivative.  With
-    ``r = f - a*g`` and ``a = f.g / g.g``, ``dr = -(a*dg + g (x) da)``
+    The Jacobian is the Golub-Pereyra variable-projection derivative.
+    With ``r = f - a*g`` and ``a = f.g / g.g``, ``dr = -(a*dg + g (x) da)``
     where ``da = (f.dg - 2a*g.dg) / g.g``; ``dg = g * dlog g``, with
     ``dlog g/dlog rate = -rate*x`` (0 where the log-rate is clamped) and
     ``dlog g/dshape = log x``.  A multiple of ``g`` added to ``dg`` leaves
     ``dr`` unchanged, so both columns are taken relative to the curve's
     largest point: they stay small where ``g`` is not negligible, and
-    the shift that scales ``g`` needs no term of its own.  Every entry is
-    finite wherever the residual is; the amplitude-0 branch has ``dr = 0``.
+    the shift needs no term of its own.  Every entry is finite wherever
+    the residual is.
     """
-    g, _, rate, centre = _gamma_basis(theta, support, log_support)
+    rate = _clamped_rate(theta[0]) if len(theta) == 2 else 0.0
+    log_g = -rate * support + (theta[-1] - 1.0) * log_support
+    centre = int(log_g.argmax())
+    shift = log_g[centre]
+    g = np.exp(log_g - shift)
     denom = float(g @ g)
     if denom == 0.0 or not math.isfinite(denom):
-        return np.zeros((len(support), len(theta)))
+        # amplitude 0: the worst profiled fit, but a finite residual, and dr = 0
+        return observed, np.zeros((len(support), len(theta))), 0.0, 0.0
     amplitude = float(observed @ g) / denom
     columns = [log_support - log_support[centre]]
     if len(theta) == 2:
@@ -192,7 +176,7 @@ def _gamma_jacobian(theta, support, observed, log_support):
     # where g underflowed to 0 its derivative is 0, not 0 * inf
     dg[g == 0.0] = 0.0
     da = (observed @ dg - 2.0 * amplitude * (g @ dg)) / denom
-    return -(amplitude * dg + np.outer(g, da))
+    return observed - amplitude * g, -(amplitude * dg + np.outer(g, da)), amplitude, shift
 
 
 def _gamma_start(support, observed, log_support, rate_zero):
@@ -264,7 +248,7 @@ def _gamma_refine(support, observed, log_support, rate_zero):
     def residual(theta):
         nonlocal evaluations, lowest
         evaluations += 1
-        r = _gamma_profile(theta, support, observed, log_support)[0]
+        r, jacobian, _, _ = _gamma_projection(theta, support, observed, log_support)
         sse = float(r @ r)
         if sse < lowest:
             lowest = sse
@@ -272,12 +256,11 @@ def _gamma_refine(support, observed, log_support, rate_zero):
                 mass = (observed - r) ** 2
                 if mass[bin_sets].sum(axis=1).max() >= (1 - _BOUNDARY_TOL) * mass.sum():
                     raise _Unbounded(np.array(theta))
-        return r
+        return r, jacobian
 
     try:
         theta, r, converged = levenberg_marquardt(
             residual,
-            lambda theta: _gamma_jacobian(theta, support, observed, log_support),
             _gamma_start(support, observed, log_support, rate_zero),
             xtol=_XTOL,
             ftol=_FTOL,
@@ -298,7 +281,7 @@ def _fit_gamma(view, rate_zero) -> FitResult:
     """Discrete Gamma fit, with the rate pinned to 0 when ``rate_zero``.
 
     Each Levenberg-Marquardt run takes the exact variable-projection
-    Jacobian (``_gamma_jacobian``) and stops after ``_MAX_EVALUATIONS``
+    Jacobian (``_gamma_projection``) and stops after ``_MAX_EVALUATIONS``
     (1000) function evaluations, or on its step tolerance ``_XTOL``
     (1e-10) or its relative-reduction and gradient tolerance ``_FTOL``
     (1e-12).  The log-rate is held within [-700, 700], with a zero
@@ -340,7 +323,7 @@ def _fit_gamma(view, rate_zero) -> FitResult:
             f"{sse!r} only as the parameters run off to infinity",
             best_params=tuple(float(t) for t in theta),
         )
-    _, scaled_amplitude, shift = _gamma_profile(theta, support, observed, log_support)
+    _, _, scaled_amplitude, shift = _gamma_projection(theta, support, observed, log_support)
     with np.errstate(over="ignore", invalid="ignore"):
         amplitude = float(scaled_amplitude * np.exp(-shift))
     return _build_result(

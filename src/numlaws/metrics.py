@@ -156,13 +156,12 @@ def score_fit(observed, fitted) -> MetricScores:
     it scores -inf here (grading to "fail") rather than raising, so that
     scoring a fit never aborts an analysis.
     """
-    p = as_float_array(observed, "observed")
-    q = as_float_array(fitted, "fitted")
-    check_equal_length(p, q)
     try:
-        r2 = r_squared(p, q)
+        r2 = r_squared(observed, fitted)
     except DegenerateDataError:
         r2 = float("-inf")
+    p = np.asarray(observed, dtype=float)
+    q = np.asarray(fitted, dtype=float)
     p_pmf = p / p.sum()
     q_pmf = q / q.sum()
     return MetricScores(

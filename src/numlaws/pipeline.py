@@ -260,17 +260,12 @@ def analyze_dimension(
 def _normalized_gradient(fit: FitResult):
     """(support, curve, curve as a pmf, |central difference| of the pmf).
 
-    The difference is one-sided at the edges and zero on a one-point
-    support.
+    The difference is one-sided at the edges.
     """
     support = np.asarray(fit.support, dtype=float)
     curve = np.asarray(fit.curve, dtype=float)
     normalized = curve / curve.sum()
-    if len(support) > 1:
-        gradient = np.abs(np.gradient(normalized, support))
-    else:
-        gradient = np.zeros(1)
-    return support, curve, normalized, gradient
+    return support, curve, normalized, np.abs(np.gradient(normalized, support))
 
 
 def trend_over_years(values_by_year) -> TrendFinding:

@@ -31,7 +31,7 @@ from numlaws.errors import (
     UnderdeterminedFitError,
 )
 from numlaws import build_report, fitting
-from numlaws.fitting import _gamma_jacobian, _gamma_profile, _gamma_start
+from numlaws.fitting import _gamma_projection, _gamma_start
 from numlaws.laws import GammaModel
 from numlaws.pipeline import DIMENSIONS
 
@@ -187,7 +187,7 @@ class TestGammaFit:
         ) * np.exp(rng.normal(0, 0.1, size=len(xs)))
         log_xs = np.log(xs)
         start = _gamma_start(xs, freqs, log_xs, rate_zero=False)
-        start_sse = float(np.sum(_gamma_profile(start, xs, freqs, log_xs)[0] ** 2))
+        start_sse = float(np.sum(_gamma_projection(start, xs, freqs, log_xs)[0] ** 2))
         fit = fit_gamma(SyntheticHistogram(xs, freqs))
         assert fit.model.rate > 0
         assert fit.residual_sum <= start_sse
@@ -281,8 +281,12 @@ def test_gamma_fit_is_finite_and_dominates_nested_fit(frequencies):
     assert time.perf_counter() - started < FIT_SECONDS
 
 
+def projection(theta, xs, freqs):
+    return _gamma_projection(np.asarray(theta, dtype=float), xs, freqs, np.log(xs))
+
+
 def profile_residual(theta, xs, freqs):
-    return _gamma_profile(np.asarray(theta, dtype=float), xs, freqs, np.log(xs))[0]
+    return projection(theta, xs, freqs)[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,7 +304,7 @@ def test_gamma_jacobian_matches_central_difference(log_rate, shape, frequencies)
     freqs = np.asarray(frequencies)
     h = 1e-6
     for theta in (np.array([log_rate, shape]), np.array([shape])):
-        jacobian = _gamma_jacobian(theta, xs, freqs, np.log(xs))
+        jacobian = projection(theta, xs, freqs)[1]
         assert jacobian.shape == (len(xs), len(theta))
         for i in range(len(theta)):
             step = np.zeros(len(theta))
@@ -323,11 +327,11 @@ def test_gamma_jacobian_finite_at_extreme_theta(log_rate, shape, frequencies):
     the Jacobian is finite, and 0 in the log-rate column where it is clamped."""
     xs = np.arange(1, len(frequencies) + 1, dtype=float)
     freqs = np.asarray(frequencies)
-    jacobian = _gamma_jacobian(np.array([log_rate, shape]), xs, freqs, np.log(xs))
+    jacobian = projection([log_rate, shape], xs, freqs)[1]
     assert np.all(np.isfinite(jacobian))
     if not fitting._LOG_RATE_MIN < log_rate < fitting._LOG_RATE_MAX:
         assert np.all(jacobian[:, 0] == 0.0)
-    assert np.all(np.isfinite(_gamma_jacobian(np.array([shape]), xs, freqs, np.log(xs))))
+    assert np.all(np.isfinite(projection([shape], xs, freqs)[1]))
 
 
 def test_gamma_jacobian_finite_on_wide_support_at_top_rate():
@@ -337,7 +341,7 @@ def test_gamma_jacobian_finite_on_wide_support_at_top_rate():
     xs = np.array([1.0, 2.0, 3e4])
     freqs = np.array([0.5, 0.3, 0.2])
     with np.errstate(over="ignore"):
-        jacobian = _gamma_jacobian(np.array([699.9, 2.0]), xs, freqs, np.log(xs))
+        jacobian = projection([699.9, 2.0], xs, freqs)[1]
     assert np.all(np.isfinite(jacobian))
 
 
@@ -348,26 +352,40 @@ def test_gamma_jacobian_zero_on_amplitude_zero_branch():
     freqs = np.full(9, 1 / 9)
     with np.errstate(all="ignore"):
         for theta in ([math.nan, 2.0], [0.0, math.nan], [0.0, math.inf], [math.inf]):
-            theta = np.array(theta)
-            residual, amplitude, _ = _gamma_profile(theta, xs, freqs, np.log(xs))
+            residual, jacobian, amplitude, _ = projection(theta, xs, freqs)
             assert amplitude == 0.0
             assert np.array_equal(residual, freqs)
-            jacobian = _gamma_jacobian(theta, xs, freqs, np.log(xs))
             assert np.array_equal(jacobian, np.zeros((9, len(theta))))
 
 
 def count_profile_calls(monkeypatch):
-    """Count residual evaluations: every run calls ``_gamma_profile`` once
-    per evaluation, and the Jacobian never calls it."""
+    """Count residual evaluations: every run calls ``_gamma_projection``
+    once per evaluation, and a fit once more to read back its amplitude."""
     calls = []
-    original = fitting._gamma_profile
+    original = fitting._gamma_projection
 
     def counted(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(fitting, "_gamma_profile", counted)
+    monkeypatch.setattr(fitting, "_gamma_projection", counted)
     return calls
+
+
+@pytest.mark.parametrize("fit", [fit_gamma, fit_gamma_rate_zero])
+def test_one_projection_per_evaluation(monkeypatch, fit):
+    """One call gives a point's residual and Jacobian, so a fit projects
+    once per evaluation of its runs, and once more to read back the
+    amplitude of the point it keeps."""
+    xs = np.arange(1, 18, dtype=float)
+    rng = np.random.default_rng(7)
+    freqs = np.asarray(
+        exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs).frequencies
+    ) * np.exp(rng.normal(0, 0.1, size=len(xs)))
+    calls = count_profile_calls(monkeypatch)
+    result = fit(SyntheticHistogram(xs, freqs))
+    assert result.iterations > 5
+    assert len(calls) == result.iterations + 1
 
 
 DIGITS = np.arange(1, 10, dtype=float)

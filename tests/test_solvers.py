@@ -42,9 +42,22 @@ SSE_RTOL = 1e-12
 SSE_ATOL = 1e-28
 
 
-def scipy_lm(fun, jac, x0, xtol, ftol, gtol, max_evaluations):
+def scipy_lm(fun, x0, xtol, ftol, gtol, max_evaluations):
+    """``least_squares(method="lm")`` on ``fun``, which gives the residuals
+    and their Jacobian together.  SciPy asks for the Jacobian only at
+    points it has evaluated, so each point's is kept and handed back:
+    ``fun`` runs once per evaluation, as in numlaws' solver."""
+    jacobians = {}
+
+    def residuals(x):
+        f, jacobians[x.tobytes()] = fun(x)
+        return f
+
+    def jac(x):
+        return jacobians[x.tobytes()]
+
     result = least_squares(
-        fun, x0, jac=jac, method="lm", x_scale=1.0,
+        residuals, x0, jac=jac, method="lm", x_scale=1.0,
         xtol=xtol, ftol=ftol, gtol=gtol, max_nfev=max_evaluations,
     )
     return result.x, result.fun, result.status != 0
@@ -226,17 +239,48 @@ def test_same_stop_at_the_evaluation_bound(max_evaluations):
 
         def residual(theta):
             points.append(theta)
-            return fitting._gamma_profile(theta, support, observed, log_support)[0]
+            return fitting._gamma_projection(theta, support, observed, log_support)[:2]
 
         _, _, converged = solver(
             residual,
-            lambda theta: fitting._gamma_jacobian(theta, support, observed, log_support),
             fitting._gamma_start(support, observed, log_support, rate_zero=False),
             xtol=fitting._XTOL, ftol=fitting._FTOL, gtol=fitting._FTOL,
             max_evaluations=max_evaluations,
         )
         assert converged is False
         assert len(points) == max(max_evaluations, 2)
+
+
+def rosenbrock(x):
+    """Rosenbrock's residuals and their Jacobian."""
+    residuals = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    return residuals, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("max_evaluations", [2, 3, 5, 1000])
+def test_fun_runs_once_per_evaluation(max_evaluations):
+    """The solver keeps the Jacobian ``fun`` gave with each accepted
+    point, so it never calls ``fun`` at a point twice: a run cut short
+    calls it exactly as often as its bound allows, and a run to the
+    minimum at (1, 1) at as many distinct points."""
+    points = []
+
+    def fun(x):
+        points.append(tuple(x))
+        return rosenbrock(x)
+
+    x, residuals, converged = _solvers.levenberg_marquardt(
+        fun, [-1.2, 1.0], xtol=1e-10, ftol=1e-12, gtol=1e-12,
+        max_evaluations=max_evaluations,
+    )
+    assert np.array_equal(residuals, rosenbrock(x)[0])
+    assert len(set(points)) == len(points)
+    if max_evaluations < 1000:
+        assert converged is False
+        assert len(points) == max_evaluations
+    else:
+        assert converged is True
+        np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-8)
 
 
 def test_same_runs_where_the_log_rate_column_sinks_to_subnormals():

@@ -23,15 +23,15 @@ or the curve's squared error is not finite.
   The run keeps the rules of MINPACK's ``lmder`` (Moré 1978; see
   ``_solvers``) with unit column scaling: scaling by the Jacobian's
   column norms would let one step at a tiny rate move the log-rate by
-  hundreds.  It converges when the actual and
-  the predicted relative reduction of the SSE are both at most
-  ``_FTOL``, when its step bound falls to ``_XTOL`` times the norm of
-  the parameters, or when the residual's cosine with every Jacobian
-  column is at most ``_FTOL``; a run still going after
-  ``_MAX_EVALUATIONS`` residual evaluations fails the fit.  The
-  log-rate is clamped to [-700, 700].  ``fit_gamma_rate_zero`` pins the
-  rate to zero for the pure power-law comparison variant; the full fit
-  runs that nested fit too and keeps whichever fits better.
+  hundreds.  It converges when the actual and the predicted relative
+  reduction of the SSE are both at most ``_FTOL``, when its step bound
+  falls to ``_XTOL`` times the norm of the parameters, or when the
+  residual's cosine with every Jacobian column is at most ``_FTOL``; a
+  run still going after ``_MAX_EVALUATIONS`` residual evaluations fails
+  the fit.  The log-rate is clamped to [-700, 700].
+  ``fit_gamma_rate_zero`` pins the rate to zero for the pure power-law
+  comparison variant; the full fit runs that nested fit too and keeps
+  whichever fits better.
 - A histogram whose squared error falls toward its infimum only as the
   parameters grow without bound has no least-squares Gamma fit.  That
   infimum has a closed form, and a run whose best point approaches it

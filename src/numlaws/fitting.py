@@ -234,21 +234,27 @@ class _Unbounded(Exception):
 def _gamma_refine(support, observed, log_support, rate_zero):
     """One Levenberg-Marquardt run from the closed-form start.
 
-    Returns (sse, theta, evaluations, unbounded).  A run whose lowest SSE
-    so far lies within ``_BOUNDARY_TOL`` above the SSE's limit at infinite
-    parameters (``_boundary_limit``), at a point whose curve has all but
-    that share of its squared mass on the limit's bins, is heading for
-    infinity: it stops there, ``unbounded`` is true and its sse is the
-    limit.  Only improving points are checked, so a trial step that the
-    run would reject never stops it.
+    Returns (sse, theta, evaluations, unbounded, amplitude), where the
+    amplitude is the best one at ``theta``, kept from its projection.  A
+    run whose lowest SSE so far lies within ``_BOUNDARY_TOL`` above the
+    SSE's limit at infinite parameters (``_boundary_limit``), at a point
+    whose curve has all but that share of its squared mass on the limit's
+    bins, is heading for infinity: it stops there, ``unbounded`` is true
+    and its sse is the limit.  Only improving points are checked, so a
+    trial step that the run would reject never stops it.
     """
     limit, bin_sets = _boundary_limit(support, observed, rate_zero)
     evaluations, lowest = 0, math.inf
+    # (scaled amplitude, shift) of every point evaluated, by its bytes
+    amplitudes = {}
 
     def residual(theta):
         nonlocal evaluations, lowest
         evaluations += 1
-        r, jacobian, _, _ = _gamma_projection(theta, support, observed, log_support)
+        r, jacobian, scaled_amplitude, shift = _gamma_projection(
+            theta, support, observed, log_support
+        )
+        amplitudes[theta.tobytes()] = scaled_amplitude, shift
         sse = float(r @ r)
         if sse < lowest:
             lowest = sse
@@ -268,13 +274,18 @@ def _gamma_refine(support, observed, log_support, rate_zero):
             max_evaluations=_MAX_EVALUATIONS,
         )
     except _Unbounded as stop:
-        return limit, stop.args[0], evaluations, True
-    if not converged:
-        raise FitFailureError(
-            f"Gamma optimizer did not converge in {_MAX_EVALUATIONS} evaluations",
-            best_params=tuple(float(t) for t in theta),
-        )
-    return float(r @ r), theta, evaluations, False
+        theta, sse, unbounded = stop.args[0], limit, True
+    else:
+        if not converged:
+            raise FitFailureError(
+                f"Gamma optimizer did not converge in {_MAX_EVALUATIONS} evaluations",
+                best_params=tuple(float(t) for t in theta),
+            )
+        sse, unbounded = float(r @ r), False
+    scaled_amplitude, shift = amplitudes[theta.tobytes()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitude = float(scaled_amplitude * np.exp(-shift))
+    return sse, theta, evaluations, unbounded, amplitude
 
 
 def _fit_gamma(view, rate_zero) -> FitResult:
@@ -304,28 +315,30 @@ def _fit_gamma(view, rate_zero) -> FitResult:
             "Gamma fit needs at least 3 positive-frequency support points"
         )
     log_support = np.log(support)
-    sse, theta, evaluations, unbounded = _gamma_refine(
-        support, observed, log_support, rate_zero=True
-    )
+    # The full fit's nested run and the rate-zero candidate fit the same
+    # view: the run is kept in the view's __dict__, and dies with it.
+    run = view.__dict__.get("_gamma_rate_zero_run")
+    if run is None:
+        run = _gamma_refine(support, observed, log_support, rate_zero=True)
+        view.__dict__["_gamma_rate_zero_run"] = run
+    sse, theta, evaluations, unbounded, amplitude = run
     rate = 0.0
     if not rate_zero:
-        full_sse, full_theta, full_evaluations, full_unbounded = _gamma_refine(
-            support, observed, log_support, rate_zero=False
+        full_sse, full_theta, full_evaluations, full_unbounded, full_amplitude = (
+            _gamma_refine(support, observed, log_support, rate_zero=False)
         )
         evaluations += full_evaluations
         full_rate = _clamped_rate(full_theta[0])
         # below the floor a finite full fit is the nested one up to round-off
         if (full_unbounded or full_rate >= _RATE_FLOOR) and full_sse < sse:
             sse, theta, unbounded, rate = full_sse, full_theta, full_unbounded, full_rate
+            amplitude = full_amplitude
     if unbounded:
         raise FitFailureError(
             f"Gamma SSE has no minimum at finite parameters: it approaches "
             f"{sse!r} only as the parameters run off to infinity",
             best_params=tuple(float(t) for t in theta),
         )
-    _, _, scaled_amplitude, shift = _gamma_projection(theta, support, observed, log_support)
-    with np.errstate(over="ignore", invalid="ignore"):
-        amplitude = float(scaled_amplitude * np.exp(-shift))
     return _build_result(
         GammaModel, support, observed, evaluations,
         amplitude=amplitude, rate=rate, shape=float(theta[-1]),

@@ -360,7 +360,7 @@ def test_gamma_jacobian_zero_on_amplitude_zero_branch():
 
 def count_profile_calls(monkeypatch):
     """Count residual evaluations: every run calls ``_gamma_projection``
-    once per evaluation, and a fit once more to read back its amplitude."""
+    once per evaluation, and keeps the amplitude of the point it ends at."""
     calls = []
     original = fitting._gamma_projection
 
@@ -374,9 +374,8 @@ def count_profile_calls(monkeypatch):
 
 @pytest.mark.parametrize("fit", [fit_gamma, fit_gamma_rate_zero])
 def test_one_projection_per_evaluation(monkeypatch, fit):
-    """One call gives a point's residual and Jacobian, so a fit projects
-    once per evaluation of its runs, and once more to read back the
-    amplitude of the point it keeps."""
+    """One call gives a point's residual, Jacobian and amplitude, so a fit
+    projects once per evaluation of its runs and never again."""
     xs = np.arange(1, 18, dtype=float)
     rng = np.random.default_rng(7)
     freqs = np.asarray(
@@ -385,7 +384,7 @@ def test_one_projection_per_evaluation(monkeypatch, fit):
     calls = count_profile_calls(monkeypatch)
     result = fit(SyntheticHistogram(xs, freqs))
     assert result.iterations > 5
-    assert len(calls) == result.iterations + 1
+    assert len(calls) == result.iterations
 
 
 DIGITS = np.arange(1, 10, dtype=float)
@@ -465,17 +464,21 @@ class TestUnboundedGammaFit:
         SSE; the full run still runs and is kept when it beats that limit,
         and the fit is refused when it does not."""
         xs = DIGITS
-        hist = exact_histogram(GammaModel(*POOLED_DIGIT_PARAMS), xs)
         original = fitting._gamma_refine
 
         def nested_unbounded(limit):
             def refine(support, observed, log_support, rate_zero):
                 if rate_zero:
-                    return limit, np.array([40.0]), 7, True
+                    return limit, np.array([40.0]), 7, True, 1.0
                 return original(support, observed, log_support, rate_zero)
             return refine
 
+        def histogram():
+            """A new view: a view keeps its nested run, patched or not."""
+            return exact_histogram(GammaModel(*POOLED_DIGIT_PARAMS), xs)
+
         monkeypatch.setattr(fitting, "_gamma_refine", nested_unbounded(1e-3))
+        hist = histogram()
         fit = fit_gamma(hist)
         assert fit.model.rate == pytest.approx(POOLED_DIGIT_PARAMS[1], rel=1e-6)
         assert fit.iterations > 7
@@ -484,7 +487,7 @@ class TestUnboundedGammaFit:
         # a full fit that does not beat the nested limit is refused with it
         monkeypatch.setattr(fitting, "_gamma_refine", nested_unbounded(0.0))
         with pytest.raises(FitFailureError, match=r"approaches 0\.0 only"):
-            fit_gamma(hist)
+            fit_gamma(histogram())
 
 
 class TestGammaRateZeroFit:

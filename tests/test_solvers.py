@@ -102,7 +102,7 @@ def gamma_run(solver, support, observed, rate_zero):
     """
     with mock.patch.object(fitting, "levenberg_marquardt", solver):
         try:
-            sse, _, evaluations, unbounded = fitting._gamma_refine(
+            sse, _, evaluations, unbounded, _ = fitting._gamma_refine(
                 support, observed, np.log(support), rate_zero
             )
         except FitFailureError as exc:

@@ -37,6 +37,17 @@ put in one array (int64, or object when one exceeds int64).  Either way
 each token is converted once, and the windows' arrays are joined once
 into the one array in document order that ``NumberCorpus`` keeps and
 counts with ``np.unique``.
+
+``read_text_corpus`` never holds a whole file's bytes or text: it
+decodes ``_CHUNK`` characters at a time, swaps each chunk's separators
+(a character-by-character rule), and reads the text up to the chunk's
+last edge character as windows.  The digits, "_" and "." after that
+edge are carried into the next chunk, so by the same window rule no
+token, group or lookahead crosses a chunk's edge either, and the tokens,
+their order and their array's dtype are those of one pass over the
+whole text.  On an invalid byte, or a token too long to convert, the
+file is decoded whole, so the error is the one a whole-file read gives:
+an invalid byte is reported at its place in the file, and comes first.
 """
 
 from __future__ import annotations
@@ -70,6 +81,8 @@ _TOKEN = re.compile(
 )
 # characters per window, before it is stretched to an edge
 _WINDOW = 1 << 16
+# characters per chunk a text file is decoded in
+_CHUNK = 1 << 20
 # A window ends just after a character that continues no token and past
 # which no lookahead reads: a footnote marker is read only as the one
 # character after a run, so it may end a window too.
@@ -122,6 +135,16 @@ def _token_windows(text: str):
         pos = end
 
 
+def _corpus(windows, label: str, year: int | None) -> NumberCorpus:
+    """The corpus of the windows' arrays, joined in document order."""
+    values = np.concatenate([np.empty(0, np.int64), *windows])
+    values.flags.writeable = False  # a new array: the corpus may take it whole
+    try:
+        return NumberCorpus(label=label, values=values, year=year)
+    except EmptyCorpusError:
+        raise EmptyCorpusError(f"no integer tokens found for {label!r}") from None
+
+
 def extract_numbers(
     text: str, label: str = "corpus", year: int | None = None
 ) -> NumberCorpus:
@@ -129,13 +152,7 @@ def extract_numbers(
 
     Raises EmptyCorpusError when no token survives the filtering rules.
     """
-    windows = _token_windows(_swap_separators(text))
-    values = np.concatenate([np.empty(0, np.int64), *windows])
-    values.flags.writeable = False  # a new array: the corpus may take it whole
-    try:
-        return NumberCorpus(label=label, values=values, year=year)
-    except EmptyCorpusError:
-        raise EmptyCorpusError(f"no integer tokens found for {label!r}") from None
+    return _corpus(_token_windows(_swap_separators(text)), label, year)
 
 
 def parse_cell(cell: str) -> int | None:
@@ -162,10 +179,30 @@ def _decode(path: Path) -> str:
         raise IngestError(f"{path}: {exc}") from exc
 
 
+def _file_windows(path: Path):
+    """The tokens of the text file at ``path``, read ``_CHUNK`` characters
+    at a time, as ``_token_windows`` gives them (see the module doc)."""
+    try:
+        carry = ""
+        # newline="" translates no line ending, as a whole-file decode does not
+        with path.open(encoding="utf-8-sig", newline="") as file:
+            while chunk := file.read(_CHUNK):
+                text = carry + _swap_separators(chunk)
+                head = text.rstrip("0123456789_.")
+                yield from _token_windows(head)
+                carry = text[len(head):]
+        yield from _token_windows(carry)
+    except (UnicodeDecodeError, IngestError):
+        _decode(path)  # an invalid byte anywhere: its whole-file error comes first
+        raise
+    except OSError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
+
+
 def read_text_corpus(path, year: int | None = None) -> NumberCorpus:
     """Extract all integer tokens from a text file, labelled by its stem."""
     path = Path(path)
-    return extract_numbers(_decode(path), path.stem, year)
+    return _corpus(_file_windows(path), path.stem, year)
 
 
 def read_csv_corpus(path, column, year: int | None = None) -> NumberCorpus:

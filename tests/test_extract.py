@@ -416,6 +416,16 @@ def oracle_cell(cell):
 # digits weighted up, so that runs, groups and decimals are common
 _ALPHABET = "0123456789" * 3 + THOUSANDS_SEPARATORS + "_.-()" + FOOTNOTE_MARKERS + "aZx \n"
 _TEXTS = st.text(st.sampled_from(_ALPHABET), min_size=5, max_size=60)
+# runs, separators, groups, decimals, footnote markers, line endings, a
+# byte order mark and runs of 19 digits or more, past numpy's parser
+_CHUNK_TEXTS = st.lists(
+    st.one_of(
+        st.text(st.sampled_from(_ALPHABET + "\r\ufeff"), max_size=12),
+        st.text(_DIGITS, min_size=18, max_size=25),
+        st.sampled_from(["\r\n", "\r", "\u2009", "\u202f", ",000", "\u2009000", "\u00b9"]),
+    ),
+    max_size=8,
+).map("".join)
 # short bodies inside the signs and parentheses a cell may carry
 _CELLS = st.builds(
     "".join,
@@ -455,3 +465,121 @@ class TestAgainstOracle:
         if old_form.startswith("-") and unsigned.startswith("(") and unsigned.endswith(")"):
             old_form = unsigned
         assert parse_cell(cell) == oracle_cell(old_form)
+
+
+class TestChunkedFile:
+    """``read_text_corpus`` reads a file in chunks; their edges change no
+    token and no error."""
+
+    @staticmethod
+    def read_both(path, text):
+        """The file's corpus and ``text``'s, or each one's EmptyCorpusError."""
+        outcomes = []
+        for read in (lambda: read_text_corpus(path), lambda: extract_numbers(text, path.stem)):
+            try:
+                outcomes.append(read()._values)
+            except EmptyCorpusError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CHUNK_TEXTS, st.booleans())
+    @example("1\u20092345\u202f678\u2009910 12\u202f345", False)
+    @example("12\u00b9 3\u2020 45^6*78\u2021\u00b2", False)
+    @example("1\r\n22\r333\r\n\r4444\n", True)
+    @example("3.14 1.2.3 0.5. 7_000 8__9 1,234,567 1,23,4", False)
+    @example("1234567890" * 4 + " " + "9" * 19 + "\n" + str(2**64) + ",000\n", False)
+    @example("1,234,567.5." + "1,234" * 20 + "12345", True)  # no edge character at all
+    @example("", True)
+    @example("no numbers here", False)
+    def test_same_tokens_as_one_pass(self, tmp_path_factory, text, bom):
+        """With chunks of 1 to 8 characters, whose edges fall inside runs,
+        groups and decimals and beside separators and footnote markers."""
+        path = tmp_path_factory.mktemp("chunks") / "corpus.txt"
+        path.write_bytes(("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8"))
+        for chunk in (extract._CHUNK, *range(1, 9)):
+            with mock.patch.object(extract, "_CHUNK", chunk):
+                from_file, from_text = self.read_both(path, text)
+            if isinstance(from_text, str):
+                assert from_file == from_text
+            else:
+                assert from_file.dtype == from_text.dtype
+                assert from_file.tolist() == from_text.tolist()
+
+    def test_multibyte_characters_across_read_buffers(self, tmp_path):
+        """Thin spaces and footnote markers of 2-3 bytes each, at every
+        offset of the decoder's byte reads and of the chunks."""
+        text = "".join(f"{i}\u2009{i % 1000:03d}\u00b2 {i}\u202f{i % 7}\u2021 " for i in range(3000))
+        path = tmp_path / "corpus.txt"
+        path.write_text(text, encoding="utf-8")
+        assert path.stat().st_size > 8 * 8192
+        for chunk in (extract._CHUNK, 1000, 4097):
+            with mock.patch.object(extract, "_CHUNK", chunk):
+                assert read_text_corpus(path).values == extract_numbers(text).values
+
+    @staticmethod
+    def whole_file_error(path):
+        with pytest.raises(IngestError) as whole:
+            extract._decode(path)
+        return str(whole.value)
+
+    def test_invalid_byte_after_the_first_chunk(self, tmp_path):
+        """The error gives the byte's place in the whole file, not in the
+        chunk or the decoder's buffer it was read in."""
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"12\n" * 5000 + b"\xff 7\n")
+        with mock.patch.object(extract, "_CHUNK", 1000):
+            with pytest.raises(IngestError) as streamed:
+                read_text_corpus(path)
+        assert str(streamed.value) == self.whole_file_error(path)
+        assert "not valid UTF-8 text" in str(streamed.value)
+        assert "position 15000" in str(streamed.value)
+
+    def test_invalid_byte_comes_before_an_overlong_token(self, tmp_path):
+        """A 5,000-digit run is read in an earlier chunk than the invalid
+        byte, and the invalid byte is still the error, as in one
+        whole-file read."""
+        path = tmp_path / "bad.txt"
+        valid = b"9" * 5000 + b"\n" + b"12\n" * 5000
+        path.write_bytes(valid + b"\xff 7\n")
+        with mock.patch.object(extract, "_CHUNK", 1000):
+            with pytest.raises(IngestError, match="not valid UTF-8 text") as streamed:
+                read_text_corpus(path)
+            assert str(streamed.value) == self.whole_file_error(path)
+            path.write_bytes(valid)
+            with pytest.raises(IngestError, match="too many digits"):
+                read_text_corpus(path)
+
+    def test_multibyte_sequence_cut_off_at_the_end(self, tmp_path):
+        path = tmp_path / "cut.txt"
+        path.write_bytes(b"12 34\n" * 100 + "\u2009".encode("utf-8")[:2])
+        with mock.patch.object(extract, "_CHUNK", 64):
+            with pytest.raises(IngestError, match="unexpected end of data") as streamed:
+                read_text_corpus(path)
+        assert str(streamed.value) == self.whole_file_error(path)
+
+    def test_directory_is_an_ingest_error_with_the_os_text(self, tmp_path):
+        with pytest.raises(IngestError) as streamed:
+            read_text_corpus(tmp_path)
+        assert str(streamed.value) == self.whole_file_error(tmp_path)
+        assert str(streamed.value) == f"{tmp_path}: [Errno 21] Is a directory: {str(tmp_path)!r}"
+
+    def test_peak_memory_per_value(self, tmp_path):
+        """Reading a file of a million integers holds one chunk of its
+        text, not the whole file's bytes and text: the traced peak, what
+        the corpus keeps included, stays under 22 bytes per value.  A
+        whole-file read peaks at about 25.6 here, and this reader at
+        about 18.0."""
+        rng = np.random.default_rng(0)
+        pool = np.floor(10 ** rng.uniform(0, 12, size=20_000)).astype(np.int64)
+        values = pool[rng.integers(0, len(pool), size=1_000_000)]
+        path = tmp_path / "corpus.txt"
+        path.write_text("\n".join(map(str, values.tolist())) + "\n", encoding="ascii")
+        tracemalloc.start()
+        try:
+            corpus = read_text_corpus(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(corpus._values, values)
+        assert peak < 22 * len(values)

@@ -36,7 +36,6 @@ from .laws import (
     BenfordModel,
     GammaModel,
     ZipfModel,
-    benford_pmf,
     discrete_normalize,
 )
 from .metrics import (
@@ -60,7 +59,7 @@ from .pipeline import (
     trend_over_years,
     write_plot_bundles,
 )
-from .synth import SyntheticHistogram, exact_histogram, sample
+from .synth import sample
 
 __version__ = "0.1.0"
 
@@ -80,11 +79,9 @@ __all__ = [
     "MetricScores",
     "NumberCorpus",
     "RankFrequencyTable",
-    "SyntheticHistogram",
     "TrendFinding",
     "ZipfModel",
     "analyze_dimension",
-    "benford_pmf",
     "build_report",
     "classify_fit",
     "corpus_stats",
@@ -92,7 +89,6 @@ __all__ = [
     "discrete_normalize",
     "estimate_cutoff_gamma",
     "estimate_cutoff_zipf",
-    "exact_histogram",
     "extract_numbers",
     "fit_benford",
     "fit_gamma",

@@ -22,40 +22,39 @@ token reads as a Python integer literal ("1_234") and ``int()`` strips
 its separators.  ``int()`` counts only digits against the interpreter's
 integer string conversion limit, so the underscores do not move it.
 
-Extraction reads the text in consecutive windows of about ``_WINDOW``
-characters, so only one window's tokens are held at a time.  A window
-ends just after a character other than a digit, "_" or ".", so no token,
-group or lookahead crosses its edge and the tokens are those of one pass
-over the whole text.  A text with no such character is read as one
-window.  In a window of ASCII digits, spaces, tabs and line breaks alone,
-as in a file of one integer per line, every digit run is a token: numpy's
-text parser reads the window's bytes into int64, so no token string is
-made.  Any other window, or one holding a value of 10**18 or more, which
-the parser would saturate at int64's limit, is read by the pattern's
-``findall``, each token converted with ``int()`` and the window's ints
-put in one array (int64, or object when one exceeds int64).  Either way
-each token is converted once, and the windows' arrays are joined once
-into the one array in document order that ``NumberCorpus`` keeps and
-counts with ``np.unique``.
+Extraction cuts the text into windows by one rule, for strings and files
+alike.  The text comes in pieces of ``_WINDOW`` characters, each with its
+separators swapped (a character-by-character rule), and a window ends
+just after a piece's last character other than a digit, "_" or ".", so
+no token, group or lookahead crosses its edge and the tokens are those of
+one pass over the whole text.  The digits, "_" and "." after that edge
+are kept, with every following piece that holds no such character, and
+joined once into the next window, so a text with no edge is one window,
+read in linear time.  In a window of ASCII digits, spaces, tabs and line
+breaks alone, as in a file of one integer per line, every digit run is a
+token: numpy's text parser reads the window's bytes into int64, so no
+token string is made.  Any other window, or one holding a value of 10**18
+or more, which the parser would saturate at int64's limit, is read by the
+pattern's ``findall``, each token converted with ``int()`` and the
+window's ints put in one array (int64, or object when one exceeds int64).
+Either way each token is converted once, and the windows' arrays are
+joined once into the one array in document order that ``NumberCorpus``
+keeps and counts with ``np.unique``.
 
-``read_text_corpus`` never holds a whole file's bytes or text: it
-decodes ``_CHUNK`` characters at a time, swaps each chunk's separators
-(a character-by-character rule), and reads the text up to the chunk's
-last edge character as windows.  The digits, "_" and "." after that
-edge are carried into the next chunk, so by the same window rule no
-token, group or lookahead crosses a chunk's edge either, and the tokens,
-their order and their array's dtype are those of one pass over the
-whole text.  On an invalid byte, or a token too long to convert, the
-file is decoded whole, so the error is the one a whole-file read gives:
-an invalid byte is reported at its place in the file, and comes first.
+Text and CSV files are opened by one opener, which decodes ``utf-8-sig``
+as it reads and translates no line ending, so no whole file's bytes or
+text are held.  On an invalid byte, a token too long to convert or a
+CSV error, the file is decoded whole first, so the error is the one a
+whole-file read gives: an invalid byte is reported at its place in the
+file, and comes first.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -79,14 +78,12 @@ _TOKEN = re.compile(
     rf"[0-9](?<![0-9.][0-9])[0-9]*(?:{_GROUP})*"
     rf"(?![0-9]|{_GROUP}|\.[0-9]|[{re.escape(FOOTNOTE_MARKERS)}])"
 )
-# characters per window, before it is stretched to an edge
+# characters per piece of text a window is cut from
 _WINDOW = 1 << 16
-# characters per chunk a text file is decoded in
-_CHUNK = 1 << 20
 # A window ends just after a character that continues no token and past
 # which no lookahead reads: a footnote marker is read only as the one
 # character after a run, so it may end a window too.
-_EDGE = re.compile(r"[^0-9_.]")
+_RUN = "0123456789_."
 # The bytes of a plain window: every digit run in it is a token.
 _PLAIN = b"0123456789 \t\n\r"
 # The least value a plain window leaves to the pattern: numpy's parser
@@ -119,20 +116,29 @@ def _plain_values(window: str) -> np.ndarray | None:
     return values
 
 
-def _token_windows(text: str):
-    """The tokens of a swapped ``text`` as integers, one window's array at a time."""
-    pos = 0
-    while pos < len(text):
-        edge = _EDGE.search(text, pos + _WINDOW)
-        end = len(text) if edge is None else edge.end()
-        values = _plain_values(text[pos:end])
-        if values is None:
-            try:
-                values = _int_array(list(map(int, _TOKEN.findall(text, pos, end))))
-            except ValueError:  # beyond the interpreter's integer string conversion limit
-                raise IngestError(_TOO_MANY_DIGITS) from None
-        yield values
-        pos = end
+def _window_values(window: str) -> np.ndarray:
+    """The tokens of a swapped ``window`` as one array of integers."""
+    values = _plain_values(window)
+    if values is None:
+        try:
+            values = _int_array(list(map(int, _TOKEN.findall(window))))
+        except ValueError:  # beyond the interpreter's integer string conversion limit
+            raise IngestError(_TOO_MANY_DIGITS) from None
+    return values
+
+
+def _windows(pieces):
+    """The tokens of consecutive text ``pieces`` as integers, one window's
+    array at a time (see the module doc)."""
+    rest = []
+    for piece in map(_swap_separators, pieces):
+        head = piece.rstrip(_RUN)
+        if head:  # the piece holds an edge: a window ends at its last one
+            yield _window_values("".join([*rest, head]))
+            rest = []
+        rest.append(piece[len(head):])
+    if tail := "".join(rest):
+        yield _window_values(tail)
 
 
 def _corpus(windows, label: str, year: int | None) -> NumberCorpus:
@@ -152,7 +158,8 @@ def extract_numbers(
 
     Raises EmptyCorpusError when no token survives the filtering rules.
     """
-    return _corpus(_token_windows(_swap_separators(text)), label, year)
+    pieces = (text[i:i + _WINDOW] for i in range(0, len(text), _WINDOW))
+    return _corpus(_windows(pieces), label, year)
 
 
 def parse_cell(cell: str) -> int | None:
@@ -170,30 +177,23 @@ def parse_cell(cell: str) -> int | None:
         raise IngestError(_TOO_MANY_DIGITS) from None
 
 
-def _decode(path: Path) -> str:
+@contextmanager
+def _text_file(path: Path):
+    """The text file at ``path``, open for reading, with every error met
+    while it is open raised as ``IngestError`` (see the module doc)."""
     try:
-        return path.read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path}: not valid UTF-8 text ({exc})") from exc
-    except OSError as exc:
-        raise IngestError(f"{path}: {exc}") from exc
-
-
-def _file_windows(path: Path):
-    """The tokens of the text file at ``path``, read ``_CHUNK`` characters
-    at a time, as ``_token_windows`` gives them (see the module doc)."""
-    try:
-        carry = ""
         # newline="" translates no line ending, as a whole-file decode does not
         with path.open(encoding="utf-8-sig", newline="") as file:
-            while chunk := file.read(_CHUNK):
-                text = carry + _swap_separators(chunk)
-                head = text.rstrip("0123456789_.")
-                yield from _token_windows(head)
-                carry = text[len(head):]
-        yield from _token_windows(carry)
-    except (UnicodeDecodeError, IngestError):
-        _decode(path)  # an invalid byte anywhere: its whole-file error comes first
+            yield file
+    except EmptyCorpusError:  # raised only once the whole file is read
+        raise
+    except (UnicodeDecodeError, IngestError, csv.Error) as exc:
+        try:  # an invalid byte anywhere: its whole-file error comes first
+            path.read_bytes().decode("utf-8-sig")
+        except UnicodeDecodeError as whole:
+            raise IngestError(f"{path}: not valid UTF-8 text ({whole})") from whole
+        if isinstance(exc, csv.Error):  # such as a field over csv's size limit
+            raise IngestError(f"{path}: {exc}") from exc
         raise
     except OSError as exc:
         raise IngestError(f"{path}: {exc}") from exc
@@ -202,7 +202,9 @@ def _file_windows(path: Path):
 def read_text_corpus(path, year: int | None = None) -> NumberCorpus:
     """Extract all integer tokens from a text file, labelled by its stem."""
     path = Path(path)
-    return _corpus(_file_windows(path), path.stem, year)
+    with _text_file(path) as file:
+        pieces = iter(lambda: file.read(_WINDOW), "")
+        return _corpus(_windows(pieces), path.stem, year)
 
 
 def read_csv_corpus(path, column, year: int | None = None) -> NumberCorpus:
@@ -214,28 +216,29 @@ def read_csv_corpus(path, column, year: int | None = None) -> NumberCorpus:
     any other string is a column name.
     """
     path = Path(path)
-    rows = csv.reader(io.StringIO(_decode(path)))
-    header = next(rows, None)
-    if header is None:
-        raise EmptyCorpusError(f"{path}: empty CSV")
-    is_header = not all(parse_cell(c) is not None for c in header)
-    if isinstance(column, str) and (
-        not column.isdecimal() or (is_header and column in header)
-    ):
-        if column not in header:
-            raise IngestError(f"{path}: no column named {column!r}")
-        index = header.index(column)
-    else:
-        index = int(column)
-        if index < 0:
-            raise IngestError(f"{path}: column index {column!r} is negative")
-        if not is_header:
-            rows = itertools.chain([header], rows)  # a data row, not a header
-    cells = (row[index] for row in rows if index < len(row))
-    values = (v for v in map(parse_cell, cells) if v is not None)
-    try:
-        return NumberCorpus(label=path.stem, values=values, year=year)
-    except EmptyCorpusError:
-        raise EmptyCorpusError(
-            f"{path}: column {column!r} has no integer values"
-        ) from None
+    with _text_file(path) as file:
+        rows = csv.reader(file)
+        header = next(rows, None)
+        if header is None:
+            raise EmptyCorpusError(f"{path}: empty CSV")
+        is_header = not all(parse_cell(c) is not None for c in header)
+        if isinstance(column, str) and (
+            not column.isdecimal() or (is_header and column in header)
+        ):
+            if column not in header:
+                raise IngestError(f"{path}: no column named {column!r}")
+            index = header.index(column)
+        else:
+            index = int(column)
+            if index < 0:
+                raise IngestError(f"{path}: column index {column!r} is negative")
+            if not is_header:
+                rows = itertools.chain([header], rows)  # a data row, not a header
+        cells = (row[index] for row in rows if index < len(row))
+        values = (v for v in map(parse_cell, cells) if v is not None)
+        try:
+            return NumberCorpus(label=path.stem, values=values, year=year)
+        except EmptyCorpusError:
+            raise EmptyCorpusError(
+                f"{path}: column {column!r} has no integer values"
+            ) from None

@@ -21,13 +21,6 @@ from .errors import DegenerateModelError
 from .validation import as_float_array
 
 
-def benford_pmf(digit: int) -> float:
-    """Probability of the leading digit ``digit`` under Benford's law."""
-    if int(digit) != digit or not 1 <= int(digit) <= 9:
-        raise ValueError(f"digit must be an integer in 1..9, got {digit!r}")
-    return math.log10(1.0 + 1.0 / int(digit))
-
-
 @dataclass(frozen=True)
 class BenfordModel:
     """Parameter-free logarithmic first-digit law."""

@@ -8,19 +8,9 @@ generator, so the same seed reproduces the same stream on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .laws import discrete_normalize
-
-
-@dataclass(frozen=True)
-class SyntheticHistogram:
-    """Noise-free histogram whose frequencies equal a model pmf exactly."""
-
-    support: tuple[float, ...]
-    frequencies: tuple[float, ...]
 
 
 def sample(model, support, n: int, seed: int) -> np.ndarray:
@@ -37,12 +27,3 @@ def sample(model, support, n: int, seed: int) -> np.ndarray:
     cdf[-1] = 1.0  # guard the last bin against cumulative rounding
     draws = np.random.default_rng(seed).random(n)
     return np.asarray(support)[np.searchsorted(cdf, draws, side="right")]
-
-
-def exact_histogram(model, support) -> SyntheticHistogram:
-    """Deterministic infinite-sample histogram for exact-recovery tests."""
-    pmf = discrete_normalize(model, support)
-    return SyntheticHistogram(
-        support=tuple(np.asarray(support, dtype=float).tolist()),
-        frequencies=tuple(pmf.tolist()),
-    )

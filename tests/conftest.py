@@ -7,12 +7,19 @@ profile only seeds the draws from the test itself, so a failure seen once
 is seen again.
 """
 
+import types
+
 from hypothesis import settings
 
 from numlaws import NumberCorpus, ZipfModel, sample
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+def histogram(support, frequencies):
+    """A fit input: any object with ``support`` and ``frequencies``."""
+    return types.SimpleNamespace(support=support, frequencies=frequencies)
 
 
 def zipf_corpus(n, alpha, support_size, seed, label="zipf-synth", year=None):

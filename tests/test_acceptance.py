@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from numlaws import (
+    BenfordModel,
     GammaModel,
     LengthHistogram,
     RankFrequencyTable,
-    SyntheticHistogram,
-    benford_pmf,
+    discrete_normalize,
     estimate_cutoff_gamma,
     estimate_cutoff_zipf,
-    exact_histogram,
     extract_numbers,
     fit_gamma,
     fit_gamma_rate_zero,
@@ -36,7 +35,7 @@ from numlaws import (
     trend_over_years,
 )
 
-from conftest import zipf_corpus
+from conftest import histogram, zipf_corpus
 from test_cutoff import zipf_map
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -63,11 +62,12 @@ def budget(criterion, description, seconds):
 
 
 def test_criterion_01_benford_constants():
-    benford_pmf(1)  # warm the call path before timing
+    BenfordModel().weights(range(1, 10))  # warm the call path before timing
     percentages = [30.1, 17.6, 12.5, 9.7, 7.9, 6.7, 5.8, 5.1, 4.6]
     with budget(1, "Benford constants", 1e-3):
+        benford = BenfordModel().weights(range(1, 10))
         for digit in range(1, 10):
-            value = benford_pmf(digit)
+            value = float(benford[digit - 1])
             reference = math.log(1 + 1 / digit) / math.log(10)
             assert abs(value - reference) < 1e-12
             assert round(value * 1000) / 10 == percentages[digit - 1]
@@ -101,7 +101,7 @@ def test_criterion_03_zipf_exact_recovery():
     ranks = np.arange(1, 501, dtype=float)
     freqs = 0.054 / ranks**0.75
     with budget(3, "noise-free Zipf parameter recovery", 0.010):
-        fit = fit_zipf(SyntheticHistogram(ranks, freqs))
+        fit = fit_zipf(histogram(ranks, freqs))
     assert abs(fit.model.exponent - 0.75) < 1e-9
     assert abs(fit.model.scale - 0.054) < 1e-9
     assert abs(fit.scores.r_squared - 1.0) < 1e-9
@@ -118,8 +118,9 @@ def test_criterion_04_zipf_sampled_recovery():
 def test_criterion_05_gamma_exact_recovery():
     digit_model = GammaModel(amplitude=0.38, rate=0.32, shape=1.027)
     length_model = GammaModel(amplitude=0.002, rate=math.exp(-5), shape=1.0 - 0.049)
-    digit_hist = exact_histogram(digit_model, range(1, 10))
-    length_hist = exact_histogram(length_model, range(1, 18))
+    digits, lengths = range(1, 10), range(1, 18)
+    digit_hist = histogram(digits, discrete_normalize(digit_model, digits))
+    length_hist = histogram(lengths, discrete_normalize(length_model, lengths))
     with budget(5, "noise-free Gamma curve recovery and nested dominance", 2.0):
         for hist in (digit_hist, length_hist):
             fit = fit_gamma(hist)
@@ -133,9 +134,9 @@ def test_criterion_05_gamma_exact_recovery():
 
 
 def test_criterion_06_tail_comparison_experiment():
-    hist = exact_histogram(
-        GammaModel(amplitude=0.002, rate=0.1, shape=1.0 - 0.049), range(1, 18)
-    )
+    lengths = range(1, 18)
+    model = GammaModel(amplitude=0.002, rate=0.1, shape=1.0 - 0.049)
+    hist = histogram(lengths, discrete_normalize(model, lengths))
     with budget(6, "raised-rate length data defeats both alternatives", 2.0):
         full = fit_gamma(hist)
         pinned = fit_gamma_rate_zero(hist)

@@ -64,6 +64,14 @@ class TestStats:
         assert captured.out == ""
         assert captured.err.rstrip("\n").endswith(f"{path}: empty CSV")
 
+    def test_csv_field_over_the_size_limit_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"value\n" + b"x" * 200_000 + b"\n1\n")
+        assert main(["stats", "--input", str(path), "--csv-column", "0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {path}: field larger than field limit (131072)\n"
+
 
 class TestAnalyze:
     def test_benford_corpus_scores_strong(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -240,10 +241,24 @@ class TestWindows:
 
     def test_text_without_an_edge_is_one_window(self):
         text = "1,234,567.5." + "1,234" * 20 + "12345"  # digits, separators, dots
-        swapped = extract._swap_separators(text)
         with mock.patch.object(extract, "_WINDOW", 4):
-            assert len(list(extract._token_windows(swapped))) == 1
+            assert len(list(extract._windows(pieces(text, 4)))) == 1
             assert extract_numbers(text).values == oracle_tokens(text)
+
+    def test_text_without_an_edge_reads_in_linear_time(self, tmp_path):
+        """2 MiB of "1." is one window, read from a file or from a string:
+        the pieces kept are joined once, not each time one is added (a
+        file reader that did that took 5.7 s here)."""
+        text = "1." * (1 << 20)
+        path = tmp_path / "edgeless.txt"
+        path.write_text(text, encoding="ascii")
+        reads = (lambda: read_text_corpus(path), lambda: extract_numbers(text, path.stem))
+        with mock.patch.object(extract, "_WINDOW", 4096):
+            for read in reads:
+                start = time.perf_counter()
+                with pytest.raises(EmptyCorpusError, match="no integer tokens found for 'edgeless'"):
+                    read()
+                assert time.perf_counter() - start < 1.0
 
     def test_overlong_token_in_a_later_window_is_an_ingest_error(self):
         text = "1\n" * extract._WINDOW + "9" * 5000
@@ -282,6 +297,11 @@ class TestWindows:
             tracemalloc.stop()
         assert len(corpus) == len(values)
         assert peak < 32 * len(values)
+
+
+def pieces(text, size):
+    """``text`` in consecutive pieces of ``size`` characters."""
+    return [text[i:i + size] for i in range(0, len(text), size)]
 
 
 def assert_tokens_not_all_held(write):
@@ -368,7 +388,7 @@ class TestInt64Boundary:
         plain = list(range(0, 300, 7))
         text = "\n".join(map(str, plain)) + f"\n{value} 5\n"
         with mock.patch.object(extract, "_WINDOW", 16):
-            windows = list(extract._token_windows(text))
+            windows = list(extract._windows(pieces(text, 16)))
             corpus = extract_numbers(text)
         assert len(windows) > 2 and windows[0].dtype == np.int64
         assert any(w.dtype == object for w in windows) == (value >= 2**63)
@@ -467,9 +487,21 @@ class TestAgainstOracle:
         assert parse_cell(cell) == oracle_cell(old_form)
 
 
+def whole_file_error(path):
+    """The error text of one whole-file read of ``path``, derived here,
+    not by the reader under test."""
+    try:
+        path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        return f"{path}: not valid UTF-8 text ({exc})"
+    except OSError as exc:
+        return f"{path}: {exc}"
+    raise AssertionError(f"{path} reads whole without an error")
+
+
 class TestChunkedFile:
-    """``read_text_corpus`` reads a file in chunks; their edges change no
-    token and no error."""
+    """``read_text_corpus`` reads a file ``_WINDOW`` characters at a time;
+    the edges of these chunks change no token and no error."""
 
     @staticmethod
     def read_both(path, text):
@@ -497,8 +529,8 @@ class TestChunkedFile:
         groups and decimals and beside separators and footnote markers."""
         path = tmp_path_factory.mktemp("chunks") / "corpus.txt"
         path.write_bytes(("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8"))
-        for chunk in (extract._CHUNK, *range(1, 9)):
-            with mock.patch.object(extract, "_CHUNK", chunk):
+        for chunk in (extract._WINDOW, *range(1, 9)):
+            with mock.patch.object(extract, "_WINDOW", chunk):
                 from_file, from_text = self.read_both(path, text)
             if isinstance(from_text, str):
                 assert from_file == from_text
@@ -513,25 +545,19 @@ class TestChunkedFile:
         path = tmp_path / "corpus.txt"
         path.write_text(text, encoding="utf-8")
         assert path.stat().st_size > 8 * 8192
-        for chunk in (extract._CHUNK, 1000, 4097):
-            with mock.patch.object(extract, "_CHUNK", chunk):
+        for chunk in (extract._WINDOW, 1000, 4097):
+            with mock.patch.object(extract, "_WINDOW", chunk):
                 assert read_text_corpus(path).values == extract_numbers(text).values
-
-    @staticmethod
-    def whole_file_error(path):
-        with pytest.raises(IngestError) as whole:
-            extract._decode(path)
-        return str(whole.value)
 
     def test_invalid_byte_after_the_first_chunk(self, tmp_path):
         """The error gives the byte's place in the whole file, not in the
         chunk or the decoder's buffer it was read in."""
         path = tmp_path / "bad.txt"
         path.write_bytes(b"12\n" * 5000 + b"\xff 7\n")
-        with mock.patch.object(extract, "_CHUNK", 1000):
+        with mock.patch.object(extract, "_WINDOW", 1000):
             with pytest.raises(IngestError) as streamed:
                 read_text_corpus(path)
-        assert str(streamed.value) == self.whole_file_error(path)
+        assert str(streamed.value) == whole_file_error(path)
         assert "not valid UTF-8 text" in str(streamed.value)
         assert "position 15000" in str(streamed.value)
 
@@ -542,10 +568,10 @@ class TestChunkedFile:
         path = tmp_path / "bad.txt"
         valid = b"9" * 5000 + b"\n" + b"12\n" * 5000
         path.write_bytes(valid + b"\xff 7\n")
-        with mock.patch.object(extract, "_CHUNK", 1000):
+        with mock.patch.object(extract, "_WINDOW", 1000):
             with pytest.raises(IngestError, match="not valid UTF-8 text") as streamed:
                 read_text_corpus(path)
-            assert str(streamed.value) == self.whole_file_error(path)
+            assert str(streamed.value) == whole_file_error(path)
             path.write_bytes(valid)
             with pytest.raises(IngestError, match="too many digits"):
                 read_text_corpus(path)
@@ -553,15 +579,15 @@ class TestChunkedFile:
     def test_multibyte_sequence_cut_off_at_the_end(self, tmp_path):
         path = tmp_path / "cut.txt"
         path.write_bytes(b"12 34\n" * 100 + "\u2009".encode("utf-8")[:2])
-        with mock.patch.object(extract, "_CHUNK", 64):
+        with mock.patch.object(extract, "_WINDOW", 64):
             with pytest.raises(IngestError, match="unexpected end of data") as streamed:
                 read_text_corpus(path)
-        assert str(streamed.value) == self.whole_file_error(path)
+        assert str(streamed.value) == whole_file_error(path)
 
     def test_directory_is_an_ingest_error_with_the_os_text(self, tmp_path):
         with pytest.raises(IngestError) as streamed:
             read_text_corpus(tmp_path)
-        assert str(streamed.value) == self.whole_file_error(tmp_path)
+        assert str(streamed.value) == whole_file_error(tmp_path)
         assert str(streamed.value) == f"{tmp_path}: [Errno 21] Is a directory: {str(tmp_path)!r}"
 
     def test_peak_memory_per_value(self, tmp_path):
@@ -583,3 +609,49 @@ class TestChunkedFile:
             tracemalloc.stop()
         assert np.array_equal(corpus._values, values)
         assert peak < 22 * len(values)
+
+
+class TestCsvFile:
+    """``read_csv_corpus`` reads its file through the opener
+    ``read_text_corpus`` uses: the values and errors of a whole-file read."""
+
+    def test_byte_order_mark_crlf_and_a_quoted_line_break(self, tmp_path):
+        path = tmp_path / "t.csv"
+        text = '\ufeffitem,amount\r\n"two\r\nlines","1,250"\r\nplain,48\r\n"a, b",7\r\n'
+        path.write_bytes(text.encode("utf-8"))
+        assert read_csv_corpus(path, "amount").values == (1250, 48, 7)
+        assert read_csv_corpus(path, 1).values == (1250, 48, 7)
+
+    def test_bare_carriage_returns_end_rows(self, tmp_path):
+        """As in a text file, whose reader translates no line ending either."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"value\r1\r2\r")
+        assert read_csv_corpus(path, 0).values == (1, 2)
+
+    def test_invalid_byte_after_the_header(self, tmp_path):
+        """The byte's place in the whole file is reported, and before the
+        missing column, which the header alone shows."""
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"name,value\n" + b"a,12\n" * 5000 + b"b,\xff\n")
+        for column in ("value", "missing"):
+            with pytest.raises(IngestError) as streamed:
+                read_csv_corpus(path, column)
+            assert str(streamed.value) == whole_file_error(path)
+            assert "position 25013" in str(streamed.value)
+
+    def test_field_over_the_size_limit_is_an_ingest_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        big = b"value\n" + b"x" * 200_000 + b"\n1\n"
+        path.write_bytes(big)
+        with pytest.raises(IngestError) as error:
+            read_csv_corpus(path, 0)
+        assert str(error.value) == f"{path}: field larger than field limit (131072)"
+        path.write_bytes(big + b"\xff\n")  # an invalid byte still comes first
+        with pytest.raises(IngestError) as error:
+            read_csv_corpus(path, 0)
+        assert str(error.value) == whole_file_error(path)
+
+    def test_directory_is_an_ingest_error_with_the_os_text(self, tmp_path):
+        with pytest.raises(IngestError) as error:
+            read_csv_corpus(tmp_path, 0)
+        assert str(error.value) == f"{tmp_path}: [Errno 21] Is a directory: {str(tmp_path)!r}"

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import zipf_corpus
+from conftest import histogram, zipf_corpus
 from numlaws import (
     BenfordModel,
     DigitHistogram,
     LengthHistogram,
     NumberCorpus,
     RankFrequencyTable,
-    SyntheticHistogram,
-    exact_histogram,
+    discrete_normalize,
     fit_benford,
     fit_gamma,
     fit_gamma_rate_zero,
@@ -50,7 +49,7 @@ class TestBenfordFit:
     def test_exact_benford_histogram_is_perfect(self):
         xs = np.arange(1, 10, dtype=float)
         benford = np.log10(1 + 1 / xs)
-        fit = fit_benford(SyntheticHistogram(xs, benford))
+        fit = fit_benford(histogram(xs, benford))
         assert fit.scores.r_squared == 1.0
         assert fit.scores.kl == 0.0
         assert fit.scores.js == 0.0
@@ -62,7 +61,7 @@ class TestBenfordFit:
         assert fit.scores.r_squared > 0.99
 
     def test_uniform_histogram_fails_verdict(self):
-        fit = fit_benford(SyntheticHistogram(np.arange(1, 10), np.full(9, 1 / 9)))
+        fit = fit_benford(histogram(np.arange(1, 10), np.full(9, 1 / 9)))
         assert fit.scores.r_squared < 0.8
         assert fit.verdict.r_squared == "fail"
 
@@ -71,7 +70,7 @@ class TestZipfFit:
     def test_exact_pooled_parameters_recovered(self):
         ranks = np.arange(1, 501, dtype=float)
         freqs = 0.054 / ranks**0.75
-        fit = fit_zipf(SyntheticHistogram(ranks, freqs))
+        fit = fit_zipf(histogram(ranks, freqs))
         assert fit.model.exponent == pytest.approx(0.75, abs=1e-9)
         assert fit.model.scale == pytest.approx(0.054, abs=1e-9)
         assert fit.scores.r_squared == pytest.approx(1.0, abs=1e-9)
@@ -79,7 +78,7 @@ class TestZipfFit:
 
     def test_canonical_harmonic_law(self):
         ranks = np.arange(1, 101, dtype=float)
-        fit = fit_zipf(SyntheticHistogram(ranks, 1.0 / ranks))
+        fit = fit_zipf(histogram(ranks, 1.0 / ranks))
         assert fit.model.exponent == pytest.approx(1.0, abs=1e-9)
         assert fit.model.scale == pytest.approx(1.0, abs=1e-9)
 
@@ -94,9 +93,9 @@ class TestZipfFit:
         ranks = np.arange(1, 60, dtype=float)
         rng = np.random.default_rng(31)
         freqs = 0.3 / ranks**0.8 * np.exp(rng.normal(0, 0.05, size=len(ranks)))
-        base = fit_zipf(SyntheticHistogram(ranks, freqs))
+        base = fit_zipf(histogram(ranks, freqs))
         for c in (0.25, 3.0, 117.0):
-            scaled = fit_zipf(SyntheticHistogram(ranks, c * freqs))
+            scaled = fit_zipf(histogram(ranks, c * freqs))
             assert scaled.model.exponent == pytest.approx(
                 base.model.exponent, abs=1e-12
             )
@@ -104,11 +103,11 @@ class TestZipfFit:
 
     def test_underdetermined(self):
         with pytest.raises(UnderdeterminedFitError):
-            fit_zipf(SyntheticHistogram(np.array([1.0, 2.0]), np.array([1.0, 0.0])))
+            fit_zipf(histogram(np.array([1.0, 2.0]), np.array([1.0, 0.0])))
 
     def test_fitted_curve_evaluates_off_the_support(self):
         ranks = np.arange(1, 30, dtype=float)
-        fit = fit_zipf(SyntheticHistogram(ranks, 0.2 / ranks**0.6))
+        fit = fit_zipf(histogram(ranks, 0.2 / ranks**0.6))
         np.testing.assert_allclose(
             fit.model.weights([40.0]), [0.2 / 40.0**0.6], rtol=1e-9
         )
@@ -116,7 +115,7 @@ class TestZipfFit:
     def test_zero_frequency_points_kept_for_scoring(self):
         ranks = np.arange(1, 6, dtype=float)
         freqs = np.array([0.5, 0.3, 0.0, 0.15, 0.05])
-        fit = fit_zipf(SyntheticHistogram(ranks, freqs))
+        fit = fit_zipf(histogram(ranks, freqs))
         assert len(fit.curve) == 5
         assert all(v > 0 for v in fit.curve)
 
@@ -132,7 +131,7 @@ class TestZipfFit:
     def test_scale_out_of_float_range_is_refused(self, freqs, reason):
         """Two adjacent long lengths fit a rank exponent near 213, whose
         scale is out of range: the fit is refused, not raised raw."""
-        hist = SyntheticHistogram(np.array([307.0, 308.0]), np.array(freqs))
+        hist = histogram(np.array([307.0, 308.0]), np.array(freqs))
         with pytest.raises(FitFailureError, match=f"invalid parameters: {reason}") as excinfo:
             fit_zipf_on_lengths(hist)
         assert len(excinfo.value.best_params) == 2
@@ -140,7 +139,7 @@ class TestZipfFit:
     def test_overflowing_squared_error_is_refused(self):
         """A zero-frequency rank far up the steep line it left behind has a
         finite curve point whose square overflows."""
-        hist = SyntheticHistogram(np.array([1.0, 2.0, 3.0]), np.array([1e-300, 1.0, 0.0]))
+        hist = histogram(np.array([1.0, 2.0, 3.0]), np.array([1e-300, 1.0, 0.0]))
         with pytest.raises(FitFailureError, match="non-finite curve"):
             fit_zipf(hist)
 
@@ -150,7 +149,7 @@ class TestGammaFit:
         """Fitting the unnormalized pooled digit curve recovers all three
         parameters, amplitude included."""
         xs = np.arange(1, 10, dtype=float)
-        fit = fit_gamma(SyntheticHistogram(xs, gamma_curve(*POOLED_DIGIT_PARAMS, xs)))
+        fit = fit_gamma(histogram(xs, gamma_curve(*POOLED_DIGIT_PARAMS, xs)))
         assert fit.model.amplitude == pytest.approx(0.38, abs=1e-3)
         assert fit.model.rate == pytest.approx(0.32, abs=1e-3)
         assert fit.model.shape == pytest.approx(1.027, abs=1e-3)
@@ -158,12 +157,12 @@ class TestGammaFit:
 
     def test_noise_free_closure_residual(self):
         xs = np.arange(1, 10, dtype=float)
-        fit = fit_gamma(exact_histogram(GammaModel(0.38, 0.32, 1.027), xs))
+        fit = fit_gamma(histogram(xs, discrete_normalize(GammaModel(0.38, 0.32, 1.027), xs)))
         assert fit.residual_sum < 1e-12
         assert fit.scores.r_squared >= 1 - 1e-9
 
     def test_uniform_histogram_is_in_family(self):
-        fit = fit_gamma(SyntheticHistogram(np.arange(1, 10, dtype=float), np.full(9, 1 / 9)))
+        fit = fit_gamma(histogram(np.arange(1, 10, dtype=float), np.full(9, 1 / 9)))
         assert fit.model.rate == 0.0
         assert fit.model.shape == pytest.approx(1.0, abs=1e-6)
         assert fit.scores.r_squared == 1.0
@@ -171,7 +170,7 @@ class TestGammaFit:
     def test_pooled_length_curve_recovery(self):
         """Noise-free pooled length pmf on 1..12 reproduced pointwise."""
         xs = np.arange(1, 13, dtype=float)
-        hist = exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs)
+        hist = histogram(xs, discrete_normalize(GammaModel(*POOLED_LENGTH_PARAMS), xs))
         fit = fit_gamma(hist)
         observed = np.asarray(hist.frequencies)
         curve = np.asarray(fit.curve)
@@ -183,24 +182,24 @@ class TestGammaFit:
         xs = np.arange(1, 18, dtype=float)
         rng = np.random.default_rng(7)
         freqs = np.asarray(
-            exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs).frequencies
+            discrete_normalize(GammaModel(*POOLED_LENGTH_PARAMS), xs)
         ) * np.exp(rng.normal(0, 0.1, size=len(xs)))
         log_xs = np.log(xs)
         start = _gamma_start(xs, freqs, log_xs, rate_zero=False)
         start_sse = float(np.sum(_gamma_projection(start, xs, freqs, log_xs)[0] ** 2))
-        fit = fit_gamma(SyntheticHistogram(xs, freqs))
+        fit = fit_gamma(histogram(xs, freqs))
         assert fit.model.rate > 0
         assert fit.residual_sum <= start_sse
-        assert fit.residual_sum <= fit_gamma_rate_zero(SyntheticHistogram(xs, freqs)).residual_sum
+        assert fit.residual_sum <= fit_gamma_rate_zero(histogram(xs, freqs)).residual_sum
 
     def test_deterministic_bit_identical(self):
         xs = np.arange(1, 18, dtype=float)
         rng = np.random.default_rng(6)
         freqs = np.asarray(
-            exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs).frequencies
+            discrete_normalize(GammaModel(*POOLED_LENGTH_PARAMS), xs)
         ) * np.exp(rng.normal(0, 0.03, size=len(xs)))
-        a = fit_gamma(SyntheticHistogram(xs, freqs))
-        b = fit_gamma(SyntheticHistogram(xs, freqs))
+        a = fit_gamma(histogram(xs, freqs))
+        b = fit_gamma(histogram(xs, freqs))
         assert a.model == b.model
         assert a.curve == b.curve
         assert a.iterations == b.iterations
@@ -208,21 +207,21 @@ class TestGammaFit:
     def test_nested_dominance(self):
         """The 3-parameter fit never loses to the rate-pinned 2-parameter fit."""
         xs = np.arange(1, 18, dtype=float)
-        hist = exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs)
+        hist = histogram(xs, discrete_normalize(GammaModel(*POOLED_LENGTH_PARAMS), xs))
         full = fit_gamma(hist)
         pinned = fit_gamma_rate_zero(hist)
         assert full.residual_sum <= pinned.residual_sum + 1e-9
 
     def test_underdetermined(self):
         with pytest.raises(UnderdeterminedFitError):
-            fit_gamma(SyntheticHistogram(np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.1, 0.0])))
+            fit_gamma(histogram(np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.1, 0.0])))
 
     def test_iteration_starvation_raises_with_best_params(self, monkeypatch):
         xs = np.arange(1, 10, dtype=float)
-        freqs = np.asarray(exact_histogram(GammaModel(*POOLED_DIGIT_PARAMS), xs).frequencies)
+        freqs = np.asarray(discrete_normalize(GammaModel(*POOLED_DIGIT_PARAMS), xs))
         monkeypatch.setattr(fitting, "_MAX_EVALUATIONS", 2)
         with pytest.raises(FitFailureError) as excinfo:
-            fit_gamma(SyntheticHistogram(xs, freqs))
+            fit_gamma(histogram(xs, freqs))
         assert excinfo.value.best_params is not None
 
     def test_run_still_going_after_1000_evaluations_is_refused(self):
@@ -242,12 +241,12 @@ class TestGammaFit:
         freqs = (xs / 300.0) ** 130
         for fit in (fit_gamma, fit_gamma_rate_zero):
             with pytest.raises(FitFailureError, match="non-finite curve"):
-                fit(SyntheticHistogram(xs, freqs))
+                fit(histogram(xs, freqs))
 
     def test_residual_matches_independent_recomputation(self):
         xs = np.arange(1, 10, dtype=float)
         freqs = np.array([0.3, 0.2, 0.15, 0.1, 0.08, 0.07, 0.05, 0.03, 0.02])
-        fit = fit_gamma(SyntheticHistogram(xs, freqs))
+        fit = fit_gamma(histogram(xs, freqs))
         recomputed = float(np.sum((freqs - np.asarray(fit.curve)) ** 2))
         assert fit.residual_sum == pytest.approx(recomputed, abs=1e-9)
 
@@ -270,8 +269,8 @@ def test_gamma_fit_is_finite_and_dominates_nested_fit(frequencies):
     xs = np.arange(1, len(frequencies) + 1, dtype=float)
     started = time.perf_counter()
     try:
-        full = fit_gamma(SyntheticHistogram(xs, frequencies))
-        nested = fit_gamma_rate_zero(SyntheticHistogram(xs, frequencies))
+        full = fit_gamma(histogram(xs, frequencies))
+        nested = fit_gamma_rate_zero(histogram(xs, frequencies))
     except NumlawsError:
         pass
     else:
@@ -379,10 +378,10 @@ def test_one_projection_per_evaluation(monkeypatch, fit):
     xs = np.arange(1, 18, dtype=float)
     rng = np.random.default_rng(7)
     freqs = np.asarray(
-        exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs).frequencies
+        discrete_normalize(GammaModel(*POOLED_LENGTH_PARAMS), xs)
     ) * np.exp(rng.normal(0, 0.1, size=len(xs)))
     calls = count_profile_calls(monkeypatch)
-    result = fit(SyntheticHistogram(xs, freqs))
+    result = fit(histogram(xs, freqs))
     assert result.iterations > 5
     assert len(calls) == result.iterations
 
@@ -408,7 +407,7 @@ class TestUnboundedGammaFit:
         without bound; the fit says so, early."""
         calls = count_profile_calls(monkeypatch)
         with pytest.raises(FitFailureError, match="no minimum at finite parameters") as excinfo:
-            fit_gamma(SyntheticHistogram(DIGITS, freqs))
+            fit_gamma(histogram(DIGITS, freqs))
         assert len(calls) <= UNBOUNDED_EVALUATIONS
         assert f"approaches {limit!r} only as the parameters" in str(excinfo.value)
         assert len(excinfo.value.best_params) == 2
@@ -418,7 +417,7 @@ class TestUnboundedGammaFit:
         rate 0 (SSE 0.0033), far below both limits at infinity (0.0484 for
         the full fit, 0.1013 at rate 0): fitted, not refused."""
         calls = count_profile_calls(monkeypatch)
-        hist = SyntheticHistogram(np.arange(1.0, 4.0), FAULT_A_LENGTHS)
+        hist = histogram(np.arange(1.0, 4.0), FAULT_A_LENGTHS)
         full = fit_gamma(hist)
         assert len(calls) <= UNBOUNDED_EVALUATIONS
         nested = fit_gamma_rate_zero(hist)
@@ -433,7 +432,7 @@ class TestUnboundedGammaFit:
         calls = count_profile_calls(monkeypatch)
         counts = np.zeros(14)
         counts[[0, 7, 10, 13]] = [3, 1, 1, 1]
-        hist = SyntheticHistogram(np.arange(1.0, 15.0), counts / 6)
+        hist = histogram(np.arange(1.0, 15.0), counts / 6)
         with pytest.raises(FitFailureError, match="no minimum at finite parameters") as excinfo:
             fit_gamma_rate_zero(hist)
         assert f"approaches {1 / 12!r} only" in str(excinfo.value)
@@ -447,7 +446,7 @@ class TestUnboundedGammaFit:
         xs = np.arange(1, 11, dtype=float)
         freqs = np.array([1, 3, 0, 17, 4, 3, 4, 4, 0, 1]) / 37
         limit = float(np.sum(freqs[[0, 1, 2, 5, 6, 7, 8, 9]] ** 2))
-        fit = fit_gamma(SyntheticHistogram(xs, freqs))
+        fit = fit_gamma(histogram(xs, freqs))
         assert fit.residual_sum < limit
         assert fit.model.rate == pytest.approx(21.5, rel=1e-2)
 
@@ -455,7 +454,7 @@ class TestUnboundedGammaFit:
     @pytest.mark.parametrize("shape", [0.5, 1.0, 3.0, 8.0])
     def test_exact_gamma_histograms_still_recovered(self, rate, shape):
         xs = np.arange(1, 13, dtype=float)
-        fit = fit_gamma(exact_histogram(GammaModel(1.0, rate, shape), xs))
+        fit = fit_gamma(histogram(xs, discrete_normalize(GammaModel(1.0, rate, shape), xs)))
         assert fit.model.rate == pytest.approx(rate, rel=1e-6)
         assert fit.model.shape == pytest.approx(shape, rel=1e-6)
 
@@ -473,12 +472,12 @@ class TestUnboundedGammaFit:
                 return original(support, observed, log_support, rate_zero)
             return refine
 
-        def histogram():
+        def new_view():
             """A new view: a view keeps its nested run, patched or not."""
-            return exact_histogram(GammaModel(*POOLED_DIGIT_PARAMS), xs)
+            return histogram(xs, discrete_normalize(GammaModel(*POOLED_DIGIT_PARAMS), xs))
 
         monkeypatch.setattr(fitting, "_gamma_refine", nested_unbounded(1e-3))
-        hist = histogram()
+        hist = new_view()
         fit = fit_gamma(hist)
         assert fit.model.rate == pytest.approx(POOLED_DIGIT_PARAMS[1], rel=1e-6)
         assert fit.iterations > 7
@@ -487,20 +486,20 @@ class TestUnboundedGammaFit:
         # a full fit that does not beat the nested limit is refused with it
         monkeypatch.setattr(fitting, "_gamma_refine", nested_unbounded(0.0))
         with pytest.raises(FitFailureError, match=r"approaches 0\.0 only"):
-            fit_gamma(histogram())
+            fit_gamma(new_view())
 
 
 class TestGammaRateZeroFit:
     def test_pure_power_law_recovered_exactly(self):
         xs = np.arange(1, 13, dtype=float)
-        fit = fit_gamma_rate_zero(SyntheticHistogram(xs, 1.0 / xs))
+        fit = fit_gamma_rate_zero(histogram(xs, 1.0 / xs))
         assert fit.model.rate == 0.0
         assert fit.model.shape == pytest.approx(0.0, abs=1e-6)
         assert fit.scores.r_squared >= 1 - 1e-9
 
     def test_pooled_length_data_prefers_full_fit(self):
         xs = np.arange(1, 18, dtype=float)
-        hist = exact_histogram(GammaModel(*POOLED_LENGTH_PARAMS), xs)
+        hist = histogram(xs, discrete_normalize(GammaModel(*POOLED_LENGTH_PARAMS), xs))
         assert (
             fit_gamma_rate_zero(hist).scores.r_squared
             < fit_gamma(hist).scores.r_squared
@@ -510,7 +509,7 @@ class TestGammaRateZeroFit:
         """A pure power law cannot track exponential decay: the tail
         residuals dominate and the tail-sensitive MAPE verdict fails."""
         xs = np.arange(1, 18, dtype=float)
-        hist = exact_histogram(GammaModel(1.0, 0.5, 1.0), xs)
+        hist = histogram(xs, discrete_normalize(GammaModel(1.0, 0.5, 1.0), xs))
         observed = np.asarray(hist.frequencies)
         full = fit_gamma(hist)
         pinned = fit_gamma_rate_zero(hist)
@@ -526,16 +525,16 @@ class TestGammaRateZeroFit:
 class TestZipfOnLengths:
     def test_exact_power_law_lengths(self):
         xs = np.arange(1, 9, dtype=float)
-        fit = fit_zipf_on_lengths(SyntheticHistogram(xs, 0.6 / xs**1.2))
+        fit = fit_zipf_on_lengths(histogram(xs, 0.6 / xs**1.2))
         assert fit.scores.r_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_two_point_histogram_interpolates(self):
-        fit = fit_zipf_on_lengths(SyntheticHistogram(np.array([1.0, 2.0]), np.array([0.7, 0.3])))
+        fit = fit_zipf_on_lengths(histogram(np.array([1.0, 2.0]), np.array([0.7, 0.3])))
         assert fit.scores.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_gamma_tail_beats_zipf(self):
         xs = np.arange(1, 18, dtype=float)
-        hist = exact_histogram(GammaModel(0.002, 0.1, 1.0 - 0.049), xs)
+        hist = histogram(xs, discrete_normalize(GammaModel(0.002, 0.1, 1.0 - 0.049), xs))
         assert (
             fit_zipf_on_lengths(hist).scores.r_squared
             < fit_gamma(hist).scores.r_squared
@@ -594,7 +593,7 @@ class TestPooledFit:
 class TestFitResultContract:
     def test_serialization_keys(self):
         xs = np.arange(1, 10, dtype=float)
-        payload = fit_benford(SyntheticHistogram(xs, np.log10(1 + 1 / xs))).to_dict()
+        payload = fit_benford(histogram(xs, np.log10(1 + 1 / xs))).to_dict()
         assert set(payload) == {
             "model",
             "params",

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import histogram
 from numlaws import (
     BenfordModel,
     GammaModel,
-    SyntheticHistogram,
     ZipfModel,
-    benford_pmf,
     discrete_normalize,
     fit_benford,
     fit_gamma,
@@ -26,18 +25,19 @@ POOLED_DIGIT_LAW = GammaModel(amplitude=0.38, rate=0.32, shape=1.027)
 
 class TestBenford:
     def test_headline_percentages(self):
-        assert round(benford_pmf(1), 5) == 0.30103
-        assert round(benford_pmf(2), 5) == 0.17609
-        assert round(benford_pmf(9), 5) == 0.04576
+        benford = BenfordModel().weights(range(1, 10))
+        assert round(benford[0], 5) == 0.30103
+        assert round(benford[1], 5) == 0.17609
+        assert round(benford[8], 5) == 0.04576
 
     def test_sums_to_one(self):
-        total = sum(benford_pmf(d) for d in range(1, 10))
+        total = sum(BenfordModel().weights(range(1, 10)))
         assert abs(total - 1.0) < 1e-12
 
     @pytest.mark.parametrize("bad", [0, 10, -1, 3.5])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
-            benford_pmf(bad)
+            BenfordModel().weights([bad])
 
     def test_weights_reject_non_digits(self):
         with pytest.raises(ValueError):
@@ -173,7 +173,7 @@ class TestModelSerialization:
         """A fit of the model's own pmf writes JSON ``params`` that rebuild
         the fitted model exactly."""
         support = np.arange(1, 10, dtype=float)
-        view = SyntheticHistogram(support, discrete_normalize(model, support))
+        view = histogram(support, discrete_normalize(model, support))
         fit = FITTERS[model.name](view)
         payload = json.loads(_encode(fit))
         assert payload["model"] == model.name

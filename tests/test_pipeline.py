@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 from conftest import zipf_corpus
 from numlaws import (
     AnalysisConfig,
+    BenfordModel,
     DigitHistogram,
     GammaModel,
     LengthHistogram,
     NumberCorpus,
     RankFrequencyTable,
     analyze_dimension,
-    benford_pmf,
     build_report,
     discrete_normalize,
     fit_gamma,
@@ -82,7 +82,7 @@ POOLED_LENGTH_PMF = discrete_normalize(
 
 class TestFirstDigitSection:
     def test_near_benford_corpus_scores_strong(self):
-        counts = rounded_counts([benford_pmf(d) for d in range(1, 10)], n=10**5)
+        counts = rounded_counts(BenfordModel().weights(range(1, 10)), n=10**5)
         section = analyze_dimension("first_digit", corpus_from_digit_counts(counts))
         fit = section.fits["benford"]
         assert fit.scores.r_squared > 0.9999

@@ -248,7 +248,7 @@ class TestWindows:
     def test_text_without_an_edge_reads_in_linear_time(self, tmp_path):
         """2 MiB of "1." is one window, read from a file or from a string:
         the pieces kept are joined once, not each time one is added (a
-        file reader that did that took 5.7 s here)."""
+        file reader that did that took over 5 s on one 2-core machine)."""
         text = "1." * (1 << 20)
         path = tmp_path / "edgeless.txt"
         path.write_text(text, encoding="ascii")

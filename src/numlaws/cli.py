@@ -24,6 +24,7 @@ from .pipeline import (
     DIMENSIONS,
     AnalysisConfig,
     build_report,
+    iter_fits,
     report_to_json,
     share_scale_cutoff,
     write_plot_bundles,
@@ -94,21 +95,20 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     year_map = _parse_year_map(args.year_map)
+    paths = [Path(path) for path in args.input]
     # a corpus is labelled by its file stem, which names its plot bundles
-    stems = [Path(path).stem for path in args.input]
+    stems = [path.stem for path in paths]
     for stem in stems:
         if stems.count(stem) > 1:
             raise UsageError(f"two inputs share the corpus label {stem!r}")
+    names = [path.name for path in paths]
     for key in year_map:
-        if key not in stems and key not in (Path(path).name for path in args.input):
+        if key not in stems and key not in names:
             raise UsageError(f"--year-map names no input: {key!r}")
-    corpora = []
-    names = []
-    for path in args.input:
-        stem = Path(path).stem
-        year = year_map.get(stem, year_map.get(Path(path).name))
-        corpora.append(_load_corpus(path, args.csv_column, year=year))
-        names.append(Path(path).name)
+    corpora = [
+        _load_corpus(path, args.csv_column, year_map.get(path.stem, year_map.get(path.name)))
+        for path in paths
+    ]
     report = build_report(corpora, config, inputs=names)
 
     out_dir = Path(args.out_dir)
@@ -121,17 +121,13 @@ def cmd_analyze(args) -> int:
     if args.format in ("csv", "both"):
         written.extend(write_plot_bundles(report, out_dir))
 
-    for analysis in report.corpora:
-        for dimension in sorted(analysis.sections):
-            section = analysis.sections[dimension]
-            for model_name in sorted(section.fits):
-                fit = section.fits[model_name]
-                print(
-                    f"{analysis.label} {dimension} {model_name}: "
-                    f"R2={_sig5(fit.scores.r_squared)} KL={_sig5(fit.scores.kl)} "
-                    f"JS={_sig5(fit.scores.js)} MAPE={_sig5(fit.scores.mape)} "
-                    f"[{fit.verdict.r_squared}]"
-                )
+    for label, dimension, model_name, fit in iter_fits(report):
+        print(
+            f"{label} {dimension} {model_name}: "
+            f"R2={_sig5(fit.scores.r_squared)} KL={_sig5(fit.scores.kl)} "
+            f"JS={_sig5(fit.scores.js)} MAPE={_sig5(fit.scores.mape)} "
+            f"[{fit.verdict.r_squared}]"
+        )
     for anomaly in report.anomalies:
         print(f"anomaly: {anomaly['kind']}: {anomaly['detail']}")
     for path in written:

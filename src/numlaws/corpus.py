@@ -17,9 +17,9 @@ often each distinct value occurs, so they read one sorted table,
 ``NumberCorpus._ascending``, counted by ``np.unique`` when the corpus is
 built: the distinct values in ascending order, with the running count of
 the values below each.  The range checks read its two ends, the median
-bisects the running counts, the digit and length histograms sum one
-(first digit, length) -> count table over lengths and over digits, and
-the rank table re-sorts the sorted values by count.  No Python int is
+bisects the running counts, the digit and length histograms are summed
+in one pass over its runs of equal first digit and length, and the rank
+table re-sorts the sorted values by count.  No Python int is
 made per value; ``values`` builds the tuple of ints only when it is read.
 """
 
@@ -28,9 +28,7 @@ from __future__ import annotations
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +51,9 @@ class NumberCorpus:
     ``values`` may be any iterable of integers: ints, bools or numpy
     integers, each checked with ``operator.index``.  Anything else, such as
     a float or a string, is a TypeError; extraction converts its tokens
-    itself.  A 1-d int64 array is taken whole, and copied only when it is
-    writeable.  Reading ``values`` gives a tuple of ints.
+    itself.  A 1-d int64 array is taken whole when it is read-only and owns
+    its data, and copied otherwise: a read-only view of a writeable array
+    would change with it.  Reading ``values`` gives a tuple of ints.
     """
 
     label: str
@@ -89,22 +88,23 @@ class NumberCorpus:
     def __len__(self):
         return len(self._values)
 
-    @cached_property
-    def _digits_by_length(self) -> Counter:
-        """Occurrences per (first digit, decimal length) pair; zero is (0, 1).
-        The values of first digit d and length k are the run [d * 10**(k - 1),
-        (d + 1) * 10**(k - 1)) of the sorted distinct values, so each pair
-        costs one ``str()`` and one bisection, however many values it holds."""
+    def _digit_and_length_counts(self) -> tuple[list[int], list[int]]:
+        """Occurrences per first digit 0..9 and per decimal length 1..L_max;
+        zero is digit 0 and length 1.  The values sharing both form one run
+        of the sorted distinct values, found with one ``str()`` and one
+        bisection however many values it holds."""
         distinct, running = self._ascending
-        table = Counter()
+        digits = [0] * 10
+        lengths = [0] * len(str(distinct[-1]))
         i = 0
         while i < len(distinct):
             text = str(distinct[i])
             d, k = int(text[0]), len(text)
             end = bisect_left(distinct, (d + 1) * 10 ** (k - 1), i)
-            table[d, k] = running[end] - running[i]
+            digits[d] += running[end] - running[i]
+            lengths[k - 1] += running[end] - running[i]
             i = end
-        return table
+        return digits, lengths
 
 
 def _values_tuple(corpus: NumberCorpus) -> tuple[int, ...]:
@@ -115,7 +115,7 @@ def _keep_values(corpus: NumberCorpus, values) -> None:
     """Keep ``values`` as the corpus's read-only array; only ``__init__``
     sets the field, as the dataclass is frozen."""
     if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
-        if values.flags.writeable:
+        if values.flags.writeable or not values.flags.owndata:
             values = values.copy()
     else:
         values = _int_array(list(map(operator.index, values)))
@@ -206,9 +206,7 @@ class DigitHistogram(_CountsView):
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "DigitHistogram":
-        counts = [0] * 10
-        for (d, _), c in corpus._digits_by_length.items():
-            counts[d] += c
+        counts, _ = corpus._digit_and_length_counts()
         if not any(counts[1:]):
             raise EmptyHistogramError(
                 f"corpus {corpus.label!r} has no nonzero values for digit analysis"
@@ -230,10 +228,7 @@ class LengthHistogram(_CountsView):
 
     @classmethod
     def from_corpus(cls, corpus: NumberCorpus) -> "LengthHistogram":
-        table = corpus._digits_by_length
-        counts = [0] * max(k for _, k in table)
-        for (_, k), c in table.items():
-            counts[k - 1] += c
+        _, counts = corpus._digit_and_length_counts()
         return cls(tuple(counts))
 
 

@@ -48,12 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solvers import levenberg_marquardt
-from .corpus import merge_corpora
+from .corpus import DigitHistogram, LengthHistogram, RankFrequencyTable, merge_corpora
 from .errors import FitFailureError, UnderdeterminedFitError
 from .laws import BenfordModel, GammaModel, ZipfModel
 from .metrics import FitVerdict, MetricScores, classify_fit, score_fit
 from .validation import support_frequencies
 
+# numlaws' own views: frozen, so they may keep the nested rate-zero run
+_FROZEN_VIEWS = (DigitHistogram, LengthHistogram, RankFrequencyTable)
 # a fitted rate below the optimizer's resolution floor is the nested
 # rate-zero model, and that fit is reported instead
 _RATE_FLOOR = 1e-12
@@ -316,11 +318,13 @@ def _fit_gamma(view, rate_zero) -> FitResult:
         )
     log_support = np.log(support)
     # The full fit's nested run and the rate-zero candidate fit the same
-    # view: the run is kept in the view's __dict__, and dies with it.
-    run = view.__dict__.get("_gamma_rate_zero_run")
+    # view: a frozen view keeps the run in its __dict__.  Any other view may
+    # change between fits or have no __dict__, and is left untouched.
+    kept = view.__dict__ if isinstance(view, _FROZEN_VIEWS) else {}
+    run = kept.get("_gamma_rate_zero_run")
     if run is None:
         run = _gamma_refine(support, observed, log_support, rate_zero=True)
-        view.__dict__["_gamma_rate_zero_run"] = run
+        kept["_gamma_rate_zero_run"] = run
     sse, theta, evaluations, unbounded, amplitude = run
     rate = 0.0
     if not rate_zero:

@@ -257,17 +257,6 @@ def analyze_dimension(
     )
 
 
-def _normalized_gradient(fit: FitResult):
-    """(support, curve, curve as a pmf, |central difference| of the pmf).
-
-    The difference is one-sided at the edges.
-    """
-    support = np.asarray(fit.support, dtype=float)
-    curve = np.asarray(fit.curve, dtype=float)
-    normalized = curve / curve.sum()
-    return support, curve, normalized, np.abs(np.gradient(normalized, support))
-
-
 def trend_over_years(values_by_year) -> TrendFinding:
     """Least-squares slope of R^2 over calendar years.
 
@@ -487,33 +476,37 @@ def report_to_json(report: AnalysisReport) -> str:
     return _encode(report) + "\n"
 
 
+def iter_fits(report: AnalysisReport):
+    """(corpus label, dimension, model name, fit) for each corpus's fits, in
+    report order, then by dimension name, then by model name; pooled fits
+    are left out."""
+    for analysis in report.corpora:
+        for dimension, section in sorted(analysis.sections.items()):
+            for model_name, fit in sorted(section.fits.items()):
+                yield analysis.label, dimension, model_name, fit
+
+
 def write_plot_bundles(report: AnalysisReport, out_dir) -> list:
     """Write per-section CSV plot bundles named <label>.<dimension>.<model>.csv.
 
     Columns: support, observed frequency, fitted curve, fitted curve
-    normalized to a pmf, and |central difference| of the normalized curve.
+    normalized to a pmf, and |central difference| of the normalized curve,
+    one-sided at the edges.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for analysis in report.corpora:
-        for dimension in sorted(analysis.sections):
-            section = analysis.sections[dimension]
-            for model_name in sorted(section.fits):
-                fit = section.fits[model_name]
-                support, curve, normalized, gradient = _normalized_gradient(fit)
-                path = out_dir / f"{analysis.label}.{dimension}.{model_name}.csv"
-                lines = ["support,observed,fitted,fitted_pmf,abs_gradient"]
-                lines.extend(
-                    ",".join(map(float.__repr__, row))
-                    for row in zip(
-                        support.tolist(),
-                        fit.observed,
-                        curve.tolist(),
-                        normalized.tolist(),
-                        gradient.tolist(),
-                    )
-                )
-                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-                written.append(path)
+    for label, dimension, model_name, fit in iter_fits(report):
+        support = np.asarray(fit.support, dtype=float)
+        curve = np.asarray(fit.curve, dtype=float)
+        pmf = curve / curve.sum()
+        gradient = np.abs(np.gradient(pmf, support))
+        rows = zip(
+            support.tolist(), fit.observed, curve.tolist(), pmf.tolist(), gradient.tolist()
+        )
+        lines = ["support,observed,fitted,fitted_pmf,abs_gradient"]
+        lines.extend(",".join(map(float.__repr__, row)) for row in rows)
+        path = out_dir / f"{label}.{dimension}.{model_name}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        written.append(path)
     return written

@@ -62,7 +62,7 @@ class TestNumberCorpus:
 
     def test_equality_hash_and_repr_ignore_the_counts(self):
         a, b = make_corpus([5, 1, 5]), make_corpus([5, 1, 5])
-        b._digits_by_length[7, 1] = 1  # a table nobody should modify, but one that differs
+        b._ascending[0].append(7)  # a table nobody should modify, but one that differs
         assert a == b
         assert hash(a) == hash(b)
         assert repr(a) == repr(b) == "NumberCorpus(label='t', values=(5, 1, 5), year=None)"
@@ -97,6 +97,20 @@ class TestNumberCorpus:
         assert corpus.values == (4, 4, 9)
         assert value_counts(corpus) == Counter({4: 2, 9: 1})
         assert not corpus._values.flags.writeable
+
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self):
+        """A read-only slice still changes with its writeable base, so the
+        corpus takes only a read-only array that owns its data whole."""
+        base = np.array([5, 1, 5, 7], dtype=np.int64)
+        view = base[:]
+        view.flags.writeable = False
+        corpus = NumberCorpus("x", view)
+        base[:] = 9
+        assert corpus.values == (5, 1, 5, 7)
+        assert corpus_stats(corpus).max == 7
+        owned = np.array([5, 1, 5, 7], dtype=np.int64)
+        owned.flags.writeable = False
+        assert NumberCorpus("x", owned)._values is owned
 
     @pytest.mark.parametrize("value", [1.5, 2.0, "12", "1_234", None])
     def test_rejects_values_that_are_not_integers(self, value):

@@ -1,5 +1,6 @@
 """Law estimation: exact recovery, sampled recovery, and the fit contract."""
 
+import collections
 import math
 import time
 
@@ -520,6 +521,61 @@ class TestGammaRateZeroFit:
         assert tail_sq(pinned) > 1e6 * tail_sq(full)
         assert pinned.verdict.mape == "fail"
         assert full.verdict.mape == "acceptable"
+
+
+class TestNestedRunKept:
+    """The full Gamma fit's nested rate-zero run is kept for the rate-zero
+    candidate only on numlaws' own views, which are frozen; any other view
+    gets a run of its own and is left as it was."""
+
+    FREQUENCIES = (0.3, 0.25, 0.15, 0.1, 0.1, 0.05, 0.05)
+
+    def refine_calls(self, monkeypatch):
+        calls = []
+        original = fitting._gamma_refine
+
+        def counted(support, observed, log_support, rate_zero):
+            calls.append(rate_zero)
+            return original(support, observed, log_support, rate_zero)
+
+        monkeypatch.setattr(fitting, "_gamma_refine", counted)
+        return calls
+
+    def test_a_view_without_a_dict_is_fitted(self):
+        View = collections.namedtuple("View", "support frequencies")
+        xs = np.arange(1, 8, dtype=float)
+        view = View(xs, np.array(self.FREQUENCIES))
+        assert fit_gamma(view) == fit_gamma(histogram(xs, np.array(self.FREQUENCIES)))
+        assert fit_gamma_rate_zero(view) == fit_gamma_rate_zero(
+            histogram(xs, np.array(self.FREQUENCIES))
+        )
+
+    def test_a_view_whose_frequencies_change_gets_a_new_run(self):
+        xs = np.arange(1, 8, dtype=float)
+        view = histogram(xs, np.array(self.FREQUENCIES))
+        fit_gamma_rate_zero(view)
+        view.frequencies = np.array(self.FREQUENCIES[::-1])
+        fresh = fit_gamma_rate_zero(histogram(xs, np.array(self.FREQUENCIES[::-1])))
+        assert fit_gamma_rate_zero(view) == fresh
+        assert fresh.model.shape == pytest.approx(2.532, abs=1e-3)
+
+    def test_the_caller_s_view_is_left_untouched(self):
+        view = histogram(np.arange(1, 8, dtype=float), np.array(self.FREQUENCIES))
+        fit_gamma(view)
+        fit_gamma_rate_zero(view)
+        assert list(vars(view)) == ["support", "frequencies"]
+
+    def test_a_length_histogram_runs_its_nested_fit_once(self, monkeypatch):
+        view = LengthHistogram.from_corpus(NumberCorpus("t", (7, 42, 42, 133, 5000) * 3))
+        calls = self.refine_calls(monkeypatch)
+        full = fit_gamma(view)
+        pinned = fit_gamma_rate_zero(view)
+        assert calls.count(True) == 1
+        assert calls.count(False) == 1
+        # the kept run gives what a run of its own gives
+        copy = histogram(view.support, view.frequencies)
+        assert (full, pinned) == (fit_gamma(copy), fit_gamma_rate_zero(copy))
+        assert calls.count(True) == 3
 
 
 class TestZipfOnLengths:

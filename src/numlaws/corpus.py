@@ -19,8 +19,8 @@ built: the distinct values in ascending order, with the running count of
 the values below each.  The range checks read its two ends, the median
 bisects the running counts, the digit and length histograms are summed
 in one pass over its runs of equal first digit and length, and the rank
-table re-sorts the sorted values by count.  No Python int is
-made per value; ``values`` builds the tuple of ints only when it is read.
+table re-sorts the sorted values by count.  No Python int is made per
+value; ``values`` builds the tuple of ints only when it is read.
 """
 
 from __future__ import annotations

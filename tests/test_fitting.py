@@ -530,25 +530,12 @@ class TestNestedRunKept:
 
     FREQUENCIES = (0.3, 0.25, 0.15, 0.1, 0.1, 0.05, 0.05)
 
-    def refine_calls(self, monkeypatch):
-        calls = []
-        original = fitting._gamma_refine
-
-        def counted(support, observed, log_support, rate_zero):
-            calls.append(rate_zero)
-            return original(support, observed, log_support, rate_zero)
-
-        monkeypatch.setattr(fitting, "_gamma_refine", counted)
-        return calls
-
     def test_a_view_without_a_dict_is_fitted(self):
         View = collections.namedtuple("View", "support frequencies")
-        xs = np.arange(1, 8, dtype=float)
-        view = View(xs, np.array(self.FREQUENCIES))
-        assert fit_gamma(view) == fit_gamma(histogram(xs, np.array(self.FREQUENCIES)))
-        assert fit_gamma_rate_zero(view) == fit_gamma_rate_zero(
-            histogram(xs, np.array(self.FREQUENCIES))
-        )
+        xs, frequencies = np.arange(1, 8, dtype=float), np.array(self.FREQUENCIES)
+        view, reference = View(xs, frequencies), histogram(xs, frequencies)
+        assert fit_gamma(view) == fit_gamma(reference)
+        assert fit_gamma_rate_zero(view) == fit_gamma_rate_zero(reference)
 
     def test_a_view_whose_frequencies_change_gets_a_new_run(self):
         xs = np.arange(1, 8, dtype=float)
@@ -566,8 +553,15 @@ class TestNestedRunKept:
         assert list(vars(view)) == ["support", "frequencies"]
 
     def test_a_length_histogram_runs_its_nested_fit_once(self, monkeypatch):
+        calls = []
+        original = fitting._gamma_refine
+
+        def counted(support, observed, log_support, rate_zero):
+            calls.append(rate_zero)
+            return original(support, observed, log_support, rate_zero)
+
+        monkeypatch.setattr(fitting, "_gamma_refine", counted)
         view = LengthHistogram.from_corpus(NumberCorpus("t", (7, 42, 42, 133, 5000) * 3))
-        calls = self.refine_calls(monkeypatch)
         full = fit_gamma(view)
         pinned = fit_gamma_rate_zero(view)
         assert calls.count(True) == 1
